@@ -109,7 +109,8 @@ def structure_from_dict(doc: dict, require_compat: bool = True) -> GammaStructur
     order = []
     for pair in doc["order"]:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, int) for v in pair)):
+                or not all(isinstance(v, int) and not isinstance(v, bool)
+                           for v in pair)):
             raise StructureError(f"bad order pair {pair!r}")
         order.append((pair[0], pair[1]))
     return validate_structure(doc["elements"], doc["gammas"], doc["table"],

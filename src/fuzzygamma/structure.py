@@ -61,16 +61,21 @@ class GammaStructure:
         return frozenset(range(self.n))
 
     def digest(self) -> str:
-        blob = json.dumps(
-            [
-                list(self.elements),
-                list(self.gammas),
-                [[list(row) for row in plane] for plane in self.table],
-                sorted(self.leq),
-            ],
-            separators=(",", ":"),
-        )
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+        # memoized outside the dataclass fields, so eq and hash ignore it
+        cached = self.__dict__.get("_digest")
+        if cached is None:
+            blob = json.dumps(
+                [
+                    list(self.elements),
+                    list(self.gammas),
+                    [[list(row) for row in plane] for plane in self.table],
+                    sorted(self.leq),
+                ],
+                separators=(",", ":"),
+            )
+            cached = hashlib.sha256(blob.encode()).hexdigest()[:12]
+            object.__setattr__(self, "_digest", cached)
+        return cached
 
     def opposite(self) -> "GammaStructure":
         """Mirror structure: the outer arguments of every product swapped."""

@@ -185,8 +185,23 @@ def _cross_violation(facts, F, G, mode):
     return None
 
 
-def _support_iff_violation(facts, F, G):
-    """First pair where nonzero composition disagrees with joint support."""
+def _support_representatives(X):
+    """Indices of the first row of each distinct support pattern, ascending."""
+    codes = (X > 0) @ (1 << np.arange(X.shape[1]))
+    _, first = np.unique(codes, return_index=True)
+    return np.sort(first)
+
+
+def _support_iff_violation(facts, F, G, rf, rg):
+    """First (i, j, a) where nonzero composition disagrees with joint support.
+
+    Only rows ``rf`` of F and ``rg`` of G are scanned: the first row of each
+    support pattern (see :func:`_support_representatives`).  Both sides of
+    the comparison depend on a pair of rows only through their supports, so
+    the first violating row of either side is always its pattern's first
+    row, and the scan returns the same triple as one over every row.
+    """
+    F, G = F[rf], G[rg]
     n = F.shape[1]
     blk = max(1, 2_000_000 // max(1, G.shape[0] * n))
     for i0 in range(0, F.shape[0], blk):
@@ -200,7 +215,7 @@ def _support_iff_violation(facts, F, G):
         bad = C != E
         if bad.any():
             i, j, a = (int(v) for v in np.argwhere(bad)[0])
-            return i0 + i, j, a
+            return int(rf[i0 + i]), int(rg[j]), a
     return None
 
 
@@ -233,6 +248,11 @@ class _Context:
     @cached_property
     def left_regular(self) -> bool:
         return ideals.decide_left_regular_def(self.S)
+
+    @cached_property
+    def support_reps(self) -> np.ndarray:
+        """Support-pattern representatives of ``members("any")``."""
+        return _support_representatives(self.members("any"))
 
     def members(self, role: str) -> np.ndarray:
         """Battery rows for a quantifier role, with ideal augmentation.
@@ -400,8 +420,8 @@ def _thm_L15(ctx):
                             ideals.intra_ideal_criterion)
 
 
-def _support_law(ctx, F, G, variant):
-    hit = _support_iff_violation(ctx.facts, F, G)
+def _support_law(ctx, F, rf, G, rg, variant):
+    hit = _support_iff_violation(ctx.facts, F, G, rf, rg)
     if hit is None:
         return True, False, None
     i, j, a = hit
@@ -411,19 +431,25 @@ def _support_law(ctx, F, G, variant):
         "element": ctx.S.elements[a]}
 
 
+# the constant one is a single row, its own support representative
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+
+
 def _thm_L17(ctx):
-    W = ctx.members("any")
-    return _support_law(ctx, W, W, "fg")
+    W, r = ctx.members("any"), ctx.support_reps
+    return _support_law(ctx, W, r, W, r, "fg")
 
 
 def _thm_C18(ctx):
     one = np.ones((1, ctx.S.n))
-    return _support_law(ctx, ctx.members("any"), one, "f1")
+    return _support_law(ctx, ctx.members("any"), ctx.support_reps,
+                        one, _ONE_ROW, "f1")
 
 
 def _thm_C19(ctx):
     one = np.ones((1, ctx.S.n))
-    return _support_law(ctx, one, ctx.members("any"), "1g")
+    return _support_law(ctx, one, _ONE_ROW,
+                        ctx.members("any"), ctx.support_reps, "1g")
 
 
 def _thm_L20(ctx):
@@ -783,6 +809,8 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
     _require_checkable(S)
     facts = factorizations(S)
     rng = np.random.default_rng(seed)
+    # a separate stream, so the strictly positive draws stay as they were
+    zero_rng = np.random.default_rng((seed, 1))
     reg = ideals.decide_regular_def(S)
     intra = ideals.decide_intra_def(S)
     rr = ideals.decide_right_regular_def(S)
@@ -848,4 +876,18 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         note("L17", (C > 0) != E)
         note("C18", (F1 > 0) != E)
         note("C19", (oneF > 0) != E)
+
+        # the same laws on zero-masked rows, against their actual supports
+        Fz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, F)
+        Gz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, G)
+        Cz = _comp_rows(facts, Fz, Gz)
+        EF, EG, EFG = (np.zeros((k, S.n), dtype=bool) for _ in range(3))
+        for a, pairs in enumerate(facts):
+            for y, z in pairs:
+                EF[:, a] |= Fz[:, y] > 0
+                EG[:, a] |= Gz[:, z] > 0
+                EFG[:, a] |= (Fz[:, y] > 0) & (Gz[:, z] > 0)
+        note("L17", (Cz > 0) != EFG)
+        note("C18", (_comp_one(facts, Fz) > 0) != EF)
+        note("C19", (_one_comp(facts, Gz) > 0) != EG)
     return violations

@@ -38,6 +38,15 @@ def test_validate_bad_index(tmp_path, capsys):
     assert main(["validate", write(tmp_path, "bad.json", doc)]) == 2
 
 
+@pytest.mark.parametrize("order", [[[False, True]], [[0, True]]])
+def test_validate_rejects_boolean_order_pair(tmp_path, capsys, order):
+    doc = dict(NZ2_DOC, order=order)
+    assert main(["validate", write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert "bad order pair" in err
+    assert "Traceback" not in err
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
-from fuzzygamma import theorems
-from fuzzygamma.fuzzy import GridBattery
+from conftest import make_lz2, make_nz2
+from fuzzygamma import theorems, validate_structure
+from fuzzygamma.fuzzy import GridBattery, default_battery
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
                                  find_counterexample, replay_witness)
@@ -121,3 +123,89 @@ def test_verdict_serialization(NZ2):
     assert d["theorem"] == "T13"
     assert d["outcome"] in ("holds", "refuted")
     assert isinstance(d["battery"], str)
+
+
+# --- support-pattern quotient of L17, C18 and C19 -----------------------
+
+def _left_zero3():
+    return validate_structure(["a", "b", "c"], ["g"],
+                              [[[0, 0, 0]], [[1, 1, 1]], [[2, 2, 2]]], [])
+
+
+def _full_support_scan(facts, F, G):
+    """Unquotiented reference: every row of F against every row of G."""
+    C = theorems._comp_cross(facts, F, G) > 0
+    E = np.zeros_like(C)
+    for a, pairs in enumerate(facts):
+        for y, z in pairs:
+            E[:, :, a] |= (F[:, y] > 0)[:, None] & (G[:, z] > 0)[None, :]
+    bad = C != E
+    if not bad.any():
+        return None
+    return tuple(int(v) for v in np.argwhere(bad)[0])
+
+
+_real_comp_cross = theorems._comp_cross
+
+
+def _zero_kernel(facts, F, G):
+    # a kernel fault that depends on the supports only: never nonzero
+    return np.zeros((F.shape[0], G.shape[0], F.shape[1]))
+
+
+def _blind_kernel(facts, F, G):
+    # a support-only fault that never sees element 0 as a factor; unlike the
+    # zero kernel, its first hit lies past the first two battery rows, where
+    # representative and battery indices differ
+    F, G = F.copy(), G.copy()
+    F[:, 0] = G[:, 0] = 0.0
+    return _real_comp_cross(facts, F, G)
+
+
+def test_support_representatives_first_row_per_pattern():
+    S = _left_zero3()
+    ctx = theorems._Context(S, default_battery(S))
+    W, reps = ctx.members("any"), ctx.support_reps
+    assert W.shape == (8 ** 3, 3)
+    assert np.all(np.diff(reps) > 0)
+    first = {}
+    for i, row in enumerate(W):
+        first.setdefault(tuple(row > 0), i)
+    assert len(first) == 2 ** 3
+    assert list(reps) == sorted(first.values())
+
+
+@pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
+@pytest.mark.parametrize("make", [make_lz2, make_nz2, _left_zero3])
+def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
+    monkeypatch.setattr(theorems, "_comp_cross", kernel)
+    S = make()
+    ctx = theorems._Context(S, default_battery(S))
+    W, reps = ctx.members("any"), ctx.support_reps
+    one, one_row = np.ones((1, S.n)), theorems._ONE_ROW
+    for F, rf, G, rg in ((W, reps, W, reps), (W, reps, one, one_row),
+                         (one, one_row, W, reps)):
+        expected = _full_support_scan(ctx.facts, F, G)
+        assert expected is not None
+        got = theorems._support_iff_violation(ctx.facts, F, G, rf, rg)
+        assert got == expected
+
+
+@pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
+def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
+                                                          kernel):
+    monkeypatch.setattr(theorems, "_comp_cross", kernel)
+    S = _left_zero3()
+    battery = default_battery(S)
+    v = check(S, "L17", battery)
+    assert v.outcome == "refuted"
+    ctx = theorems._Context(S, battery)
+    W = ctx.members("any")
+    i, j, a = _full_support_scan(ctx.facts, W, W)
+    assert v.witness == {"law": "support_iff", "variant": "fg",
+                         "f": ctx.row_dict(W[i]), "g": ctx.row_dict(W[j]),
+                         "element": S.elements[a]}
+    # the witness is jointly supported, and the scalar calculus, which the
+    # patch does not reach, composes it to nonzero: replay clears the law
+    # and so pins the refutation on the faulty kernel
+    assert not replay_witness(S, v)
