@@ -68,7 +68,9 @@ def cmd_classify(args) -> int:
 
 
 def _build_battery(S, args):
-    levels = args.levels if args.levels else fuzzy.default_levels(S)
+    if args.levels is not None and args.levels < 2:
+        raise _InputError(f"--levels must be at least 2, got {args.levels}")
+    levels = fuzzy.default_levels(S) if args.levels is None else args.levels
     if levels ** S.n <= fuzzy.GRID_CAP:
         return fuzzy.GridBattery(levels=levels)
     if args.seed is None:
@@ -170,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--all", action="store_true",
                      help="run the whole registry")
     sp.add_argument("--levels", type=int, default=None,
-                    help="battery grid levels (default 2n+2)")
+                    help="battery grid levels, at least 2 (default 2n+2)")
     sp.add_argument("--seed", type=int, default=None,
                     help="seed for sampled batteries")
     sp.add_argument("--json", action="store_true")

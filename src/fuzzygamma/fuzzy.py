@@ -84,6 +84,31 @@ def square(f: FuzzySubset) -> FuzzySubset:
     return compose(f, f)
 
 
+def chain(word: str, f, compose, one):
+    """Evaluate a composition word such as ``"f1f"`` or ``"1ff1"``.
+
+    ``compose`` and ``one`` give the calculus: :func:`compose` and the
+    constant one for fuzzy subsets, or any other operands and composition.
+    The bracketing is fixed, since on a non-associative table it matters:
+    the core (``f``, ``f f`` or ``(f 1) f``) first, then a leading one, then
+    a trailing one, so ``"1ff1"`` is ``(1 (f f)) 1``.
+    """
+    core = word.strip("1")
+    if core == "f":
+        out = f
+    elif core == "ff":
+        out = compose(f, f)
+    elif core == "f1f":
+        out = compose(compose(f, one), f)
+    else:
+        raise ValueError(f"unknown composition word {word!r}")
+    if word.startswith("1"):
+        out = compose(one, out)
+    if word.endswith("1"):
+        out = compose(out, one)
+    return out
+
+
 def meet(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
     _require_same(f, g)
     return FuzzySubset(f.structure,

@@ -86,26 +86,6 @@ _ELEMENT_TESTS = {
 }
 
 
-def _decide_def(S, name):
-    return all(_ELEMENT_TESTS[name](S, a) for a in range(S.n))
-
-
-def decide_regular_def(S: GammaStructure) -> bool:
-    return _decide_def(S, "regular")
-
-
-def decide_intra_def(S: GammaStructure) -> bool:
-    return _decide_def(S, "intra_regular")
-
-
-def decide_right_regular_def(S: GammaStructure) -> bool:
-    return _decide_def(S, "right_regular")
-
-
-def decide_left_regular_def(S: GammaStructure) -> bool:
-    return _decide_def(S, "left_regular")
-
-
 # --- ideal criteria -----------------------------------------------------
 
 def regular_ideal_criterion(S: GammaStructure, a: int) -> bool:
@@ -120,34 +100,14 @@ def intra_ideal_criterion(S: GammaStructure, a: int) -> bool:
     return (R & L) <= downward_closure(S, subset_product(S, L, R))
 
 
-def decide_regular_ideal(S: GammaStructure) -> bool:
-    return all(regular_ideal_criterion(S, a) for a in range(S.n))
-
-
-def decide_intra_ideal(S: GammaStructure) -> bool:
-    return all(intra_ideal_criterion(S, a) for a in range(S.n))
+def _every_element(test):
+    return lambda S: all(test(S, a) for a in range(S.n))
 
 
 # --- fuzzy-witness deciders ---------------------------------------------
 # Each evaluates the relevant composition chain at the single point a with
 # the point characteristic of a, following the converse arguments of the
 # corresponding characterizations.
-
-def _point_chain_value(S, a, shape):
-    fa = fuzzy.point_characteristic(S, a)
-    one = fuzzy.constant_one(S)
-    if shape == "f1f":
-        out = fuzzy.compose(fuzzy.compose(fa, one), fa)
-    elif shape == "1ff1":
-        out = fuzzy.compose(fuzzy.compose(one, fuzzy.square(fa)), one)
-    elif shape == "ff1":
-        out = fuzzy.compose(fuzzy.square(fa), one)
-    elif shape == "1ff":
-        out = fuzzy.compose(one, fuzzy.square(fa))
-    else:  # pragma: no cover - internal
-        raise ValueError(shape)
-    return out.values[a]
-
 
 _FUZZY_SHAPES = {
     "regular": "f1f",
@@ -157,25 +117,13 @@ _FUZZY_SHAPES = {
 }
 
 
-def _decide_fuzzy(S, name):
-    shape = _FUZZY_SHAPES[name]
-    return all(_point_chain_value(S, a, shape) == 1.0 for a in range(S.n))
-
-
-def decide_regular_fuzzy(S: GammaStructure) -> bool:
-    return _decide_fuzzy(S, "regular")
-
-
-def decide_intra_fuzzy(S: GammaStructure) -> bool:
-    return _decide_fuzzy(S, "intra_regular")
-
-
-def decide_right_regular_fuzzy(S: GammaStructure) -> bool:
-    return _decide_fuzzy(S, "right_regular")
-
-
-def decide_left_regular_fuzzy(S: GammaStructure) -> bool:
-    return _decide_fuzzy(S, "left_regular")
+def _every_point_chain(shape):
+    def decide(S):
+        one = fuzzy.constant_one(S)
+        return all(fuzzy.chain(shape, fuzzy.point_characteristic(S, a),
+                               fuzzy.compose, one).values[a] == 1.0
+                   for a in range(S.n))
+    return decide
 
 
 # --- witnesses ----------------------------------------------------------
@@ -238,18 +186,14 @@ _WITNESS_FNS = {
     "left_regular": left_regular_witness,
 }
 
-_DECIDERS = {
-    "regular": {"definitional": decide_regular_def,
-                "ideal": decide_regular_ideal,
-                "fuzzy": decide_regular_fuzzy},
-    "intra_regular": {"definitional": decide_intra_def,
-                      "ideal": decide_intra_ideal,
-                      "fuzzy": decide_intra_fuzzy},
-    "right_regular": {"definitional": decide_right_regular_def,
-                      "fuzzy": decide_right_regular_fuzzy},
-    "left_regular": {"definitional": decide_left_regular_def,
-                     "fuzzy": decide_left_regular_fuzzy},
-}
+# Every procedure deciding each class, by kind: "definitional", "ideal"
+# (regular and intra-regular only) and "fuzzy".
+_DECIDERS = {name: {"definitional": _every_element(test)}
+             for name, test in _ELEMENT_TESTS.items()}
+_DECIDERS["regular"]["ideal"] = _every_element(regular_ideal_criterion)
+_DECIDERS["intra_regular"]["ideal"] = _every_element(intra_ideal_criterion)
+for name, shape in _FUZZY_SHAPES.items():
+    _DECIDERS[name]["fuzzy"] = _every_point_chain(shape)
 
 
 @dataclass(frozen=True)

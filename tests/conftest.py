@@ -1,3 +1,6 @@
+import dataclasses
+import random
+
 import pytest
 
 from fuzzygamma import enumeration, validate_structure
@@ -46,3 +49,33 @@ def labeled_pool():
         spec = enumeration.SearchSpec(n=n, m=m)
         pool.extend(enumeration.enumerate_structures(spec))
     return pool
+
+
+def make_witness_corpus():
+    """Seeded random tables and orders, flagged associative and compatible.
+
+    Most of these tables are not associative and about half of the orders
+    are not compatible; the law checks run on them anyway and refute many
+    laws, giving a corpus of refutations whose witnesses must all replay.
+    """
+    rng = random.Random(20260401)
+    corpus = []
+    for (n, m), count in (((2, 1), 40), ((2, 2), 50), ((3, 1), 50)):
+        elements = [f"e{i}" for i in range(n)]
+        gammas = [f"g{g}" for g in range(m)]
+        for _ in range(count):
+            table = [[[rng.randrange(n) for _ in range(n)] for _ in range(m)]
+                     for _ in range(n)]
+            rank = rng.sample(range(n), n)
+            order = [(rank[i], rank[j]) for i in range(n)
+                     for j in range(i + 1, n) if rng.random() < 0.4]
+            S = validate_structure(elements, gammas, table, order,
+                                   require_compat=False)
+            corpus.append(dataclasses.replace(S, associative=True,
+                                              compatible=True))
+    return corpus
+
+
+@pytest.fixture(scope="session")
+def witness_corpus():
+    return make_witness_corpus()

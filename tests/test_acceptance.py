@@ -110,7 +110,7 @@ def test_criterion_6_idempotence(labeled_pool, fixture_structures):
     structures = fixture_structures + labeled_pool[:200]
     ok = True
     for S in structures:
-        regular = ideals.decide_regular_def(S)
+        regular = ideals._DECIDERS["regular"]["definitional"](S)
         battery = GridBattery(levels=default_levels(S))
         for f in enumerate_grid_battery(S, battery):
             if not (is_fuzzy_right_ideal(f) or is_fuzzy_left_ideal(f)):

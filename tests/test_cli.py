@@ -86,6 +86,15 @@ def test_check_negative_control_exit_1(tmp_path, capsys):
     assert "REFUTED" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("levels", ["1", "0", "-3"])
+def test_check_rejects_levels_below_two(tmp_path, capsys, levels):
+    assert main(["check", write(tmp_path, "nz2.json", NZ2_DOC),
+                 "--all", "--levels", levels]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--levels" in err
+    assert "Traceback" not in err
+
+
 def test_check_unknown_theorem(tmp_path, capsys):
     assert main(["check", write(tmp_path, "t1.json", T1_DOC),
                  "--theorem", "T99"]) == 2

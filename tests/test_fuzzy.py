@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,7 +7,8 @@ from hypothesis import given, strategies as st
 from fuzzygamma import fuzzy
 from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
                               compose, constant_one, constant_zero,
-                              default_battery, enumerate_grid_battery,
+                              default_battery, default_levels,
+                              enumerate_grid_battery,
                               generated_fuzzy_left_ideal,
                               generated_fuzzy_right_ideal,
                               is_fuzzy_bi_ideal, is_fuzzy_left_ideal,
@@ -233,3 +235,74 @@ def test_compose_associative_on_battery(NZ2):
 def test_square_is_self_composition(LZ2):
     f = FuzzySubset(LZ2, (0.3, 0.9))
     assert square(f) == compose(f, f)
+
+
+def test_chain_brackets_the_square_first(witness_corpus):
+    # the corpus tables are mostly not associative, so a different
+    # bracketing of the same word would give different values somewhere
+    words = {
+        "f1": lambda f, one: compose(f, one),
+        "1f": lambda f, one: compose(one, f),
+        "ff": lambda f, one: compose(f, f),
+        "f1f": lambda f, one: compose(compose(f, one), f),
+        "ff1": lambda f, one: compose(compose(f, f), one),
+        "1ff": lambda f, one: compose(one, compose(f, f)),
+        "1ff1": lambda f, one: compose(compose(one, compose(f, f)), one),
+    }
+    left_fold_differs = False
+    for S in witness_corpus[::7]:
+        one = constant_one(S)
+        for f in enumerate_grid_battery(S, GridBattery(levels=3)):
+            for word, expected in words.items():
+                assert fuzzy.chain(word, f, compose, one) == expected(f, one)
+            folded = compose(compose(compose(one, f), f), one)
+            left_fold_differs |= folded != words["1ff1"](f, one)
+    assert left_fold_differs
+    with pytest.raises(ValueError):
+        fuzzy.chain("f11f", constant_one(witness_corpus[0]), compose,
+                    constant_one(witness_corpus[0]))
+
+
+def _project_onto_grid(f, g, levels):
+    """Map the values of f and g strictly between 0 and 1 onto the inner
+    grid levels in order: every comparison, min and max is preserved."""
+    inner = sorted({v for v in f.values + g.values if 0.0 < v < 1.0})
+    grid = fuzzy.grid_levels(levels)
+    assert len(inner) <= levels - 2, "too few levels to keep every order"
+    to = {0.0: 0.0, 1.0: 1.0, **{v: grid[k + 1] for k, v in enumerate(inner)}}
+    return (FuzzySubset(f.structure, tuple(to[v] for v in f.values)),
+            FuzzySubset(g.structure, tuple(to[v] for v in g.values)))
+
+
+def _meet_above_composition(f, g):
+    fg = compose(f, g)
+    return any(min(f(a), g(a)) > fg(a) for a in range(f.structure.n))
+
+
+def test_default_levels_reproduce_real_valued_violations(NZ2, labeled_pool):
+    # L8 with its hypothesis dropped fails on every non-regular structure;
+    # its real-valued counterexamples use at most 2n values besides 0 and 1,
+    # so they land on the 2n+2-level default grid
+    from fuzzygamma.ideals import _DECIDERS
+    structures = [NZ2] + [S for S in labeled_pool if S.n <= 2
+                          and not _DECIDERS["regular"]["definitional"](S)]
+    rng = random.Random(11)
+
+    def draw():
+        return rng.choice((0.0, 1.0, rng.random(), rng.random()))
+
+    for S in structures:
+        battery = set(enumerate_grid_battery(S, default_battery(S)))
+        assert len(battery) == default_levels(S) ** S.n
+        found = 0
+        for _ in range(3000):
+            f = FuzzySubset(S, tuple(draw() for _ in range(S.n)))
+            g = FuzzySubset(S, tuple(draw() for _ in range(S.n)))
+            if not (is_fuzzy_right_ideal(f) and _meet_above_composition(f, g)):
+                continue
+            found += 1
+            pf, pg = _project_onto_grid(f, g, default_levels(S))
+            assert pf in battery and pg in battery
+            assert is_fuzzy_right_ideal(pf)
+            assert _meet_above_composition(pf, pg)
+        assert found, S

@@ -3,15 +3,11 @@ import pytest
 from fuzzygamma import ideals
 from fuzzygamma.fuzzy import characteristic, is_fuzzy_left_ideal, \
     is_fuzzy_right_ideal
-from fuzzygamma.ideals import (classify, decide_intra_def, decide_intra_fuzzy,
-                               decide_intra_ideal, decide_left_regular_def,
-                               decide_left_regular_fuzzy,
-                               decide_regular_def, decide_regular_fuzzy,
-                               decide_regular_ideal,
-                               decide_right_regular_def,
-                               decide_right_regular_fuzzy, is_left_ideal,
+from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
                                is_right_ideal, principal_left_ideal,
                                principal_right_ideal)
+
+DECIDERS = ideals._DECIDERS
 
 
 def test_crisp_ideal_examples(NZ2):
@@ -50,14 +46,15 @@ def test_principal_right_ideal_minimal(labeled_pool):
 
 
 def test_definitional_deciders(T1, LZ2, NZ2):
-    for decide in (decide_regular_def, decide_intra_def,
-                   decide_right_regular_def, decide_left_regular_def):
+    for decide in (DECIDERS[name]["definitional"] for name in CLASS_NAMES):
         assert decide(T1)
         assert decide(LZ2)
         assert not decide(NZ2)
 
 
 def test_ideal_criterion_deciders(T1, LZ2, NZ2):
+    decide_regular_ideal = DECIDERS["regular"]["ideal"]
+    decide_intra_ideal = DECIDERS["intra_regular"]["ideal"]
     assert not decide_regular_ideal(NZ2)
     assert decide_regular_ideal(LZ2)
     assert decide_intra_ideal(LZ2)
@@ -66,8 +63,7 @@ def test_ideal_criterion_deciders(T1, LZ2, NZ2):
 
 
 def test_fuzzy_deciders(T1, LZ2, NZ2):
-    for decide in (decide_regular_fuzzy, decide_intra_fuzzy,
-                   decide_right_regular_fuzzy, decide_left_regular_fuzzy):
+    for decide in (DECIDERS[name]["fuzzy"] for name in CLASS_NAMES):
         assert decide(T1)
         assert decide(LZ2)
         assert not decide(NZ2)
@@ -120,10 +116,11 @@ def test_characteristic_bridge(labeled_pool):
 def test_left_right_duality(labeled_pool):
     for S in labeled_pool[:150]:
         op = S.opposite()
-        assert decide_left_regular_def(S) == decide_right_regular_def(op)
-        assert decide_right_regular_def(S) == decide_left_regular_def(op)
-        assert decide_left_regular_fuzzy(S) == decide_right_regular_fuzzy(op)
-        assert decide_right_regular_fuzzy(S) == decide_left_regular_fuzzy(op)
+        for kind in ("definitional", "fuzzy"):
+            left = DECIDERS["left_regular"][kind]
+            right = DECIDERS["right_regular"][kind]
+            assert left(S) == right(op)
+            assert right(S) == left(op)
 
 
 def test_all_deciders_agree_on_pool_sample(labeled_pool):

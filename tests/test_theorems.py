@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -16,12 +19,12 @@ EXPECTED_IDS = {
 
 
 def test_registry_completeness():
-    # closed id set, no duplicates, descriptions for everything
+    # closed id set, no duplicates, one table entry with a description each
     assert set(THEOREM_IDS) == EXPECTED_IDS
     assert len(THEOREM_IDS) == len(EXPECTED_IDS)
+    assert set(theorems.LAWS) == set(THEOREM_IDS + NEGATIVE_CONTROL_IDS)
     for tid in THEOREM_IDS + NEGATIVE_CONTROL_IDS:
-        assert tid in theorems.DESCRIPTIONS
-        assert tid in theorems._CHECKS
+        assert theorems.LAWS[tid].description
 
 
 def test_unknown_id_rejected(T1):
@@ -125,6 +128,43 @@ def test_verdict_serialization(NZ2):
     assert isinstance(d["battery"], str)
 
 
+# sha256 of the verdict JSON over the witness corpus: a changed verdict,
+# witness or scan order changes it
+CORPUS_VERDICTS_SHA256 = \
+    "6a275dbeced2dbd7c5c10b1ce79f5da4bae77317f9285bdeee46f4e911392313"
+
+
+def test_witness_corpus_replays_and_keeps_its_verdicts(witness_corpus,
+                                                      monkeypatch):
+    digest = hashlib.sha256()
+    refutations = []
+    for S in witness_corpus:
+        for v in check_all(S) + [check(S, "L8-unconditional")]:
+            digest.update(json.dumps(v.to_dict()).encode())
+            if v.outcome == "refuted":
+                refutations.append((S, v))
+
+    def no_kernels(*args):
+        raise AssertionError("replay reached the numpy kernels")
+
+    # replay composes through the scalar calculus only
+    monkeypatch.setattr(theorems, "_compose", no_kernels)
+    monkeypatch.setattr(theorems, "_Kernels", no_kernels)
+    refuted, kinds = {}, set()
+    for S, v in refutations:
+        assert replay_witness(S, v), (S, v)
+        refuted[v.theorem] = refuted.get(v.theorem, 0) + 1
+        kinds.add(v.witness["law"])
+    assert sum(refuted.values()) == 396
+    assert set(refuted) == {
+        "P6", "L9", "L10", "L12", "L15", "L22", "T13", "T16", "T23", "T24",
+        "T26", "T28", "P29", "C30", "C31", "QI", "L8-unconditional"}
+    assert kinds == {"class_mismatch", "meet_leq_compose", "compose_leq_meet",
+                     "chain_geq", "chain_leq", "chain_eq", "quasi_bound",
+                     "pred_equiv"}
+    assert digest.hexdigest() == CORPUS_VERDICTS_SHA256
+
+
 # --- support-pattern quotient of L17, C18 and C19 -----------------------
 
 def _left_zero3():
@@ -134,7 +174,7 @@ def _left_zero3():
 
 def _full_support_scan(facts, F, G):
     """Unquotiented reference: every row of F against every row of G."""
-    C = theorems._comp_cross(facts, F, G) > 0
+    C = theorems._compose(facts, F[:, None], G[None]) > 0
     E = np.zeros_like(C)
     for a, pairs in enumerate(facts):
         for y, z in pairs:
@@ -145,27 +185,28 @@ def _full_support_scan(facts, F, G):
     return tuple(int(v) for v in np.argwhere(bad)[0])
 
 
-_real_comp_cross = theorems._comp_cross
+_real_compose = theorems._compose
 
 
 def _zero_kernel(facts, F, G):
     # a kernel fault that depends on the supports only: never nonzero
-    return np.zeros((F.shape[0], G.shape[0], F.shape[1]))
+    return np.zeros(np.broadcast(F, G).shape)
 
 
 def _blind_kernel(facts, F, G):
     # a support-only fault that never sees element 0 as a factor; unlike the
     # zero kernel, its first hit lies past the first two battery rows, where
-    # representative and battery indices differ
+    # a representative that is not its pattern's first row would show
     F, G = F.copy(), G.copy()
-    F[:, 0] = G[:, 0] = 0.0
-    return _real_comp_cross(facts, F, G)
+    F[..., 0] = G[..., 0] = 0.0
+    return _real_compose(facts, F, G)
 
 
 def test_support_representatives_first_row_per_pattern():
     S = _left_zero3()
     ctx = theorems._Context(S, default_battery(S))
-    W, reps = ctx.members("any"), ctx.support_reps
+    W = ctx.members("any")
+    reps = theorems._support_representatives(W)
     assert W.shape == (8 ** 3, 3)
     assert np.all(np.diff(reps) > 0)
     first = {}
@@ -173,35 +214,38 @@ def test_support_representatives_first_row_per_pattern():
         first.setdefault(tuple(row > 0), i)
     assert len(first) == 2 ** 3
     assert list(reps) == sorted(first.values())
+    assert np.array_equal(ctx.support_rows("any"), W[reps])
 
 
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
 @pytest.mark.parametrize("make", [make_lz2, make_nz2, _left_zero3])
 def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
-    monkeypatch.setattr(theorems, "_comp_cross", kernel)
+    monkeypatch.setattr(theorems, "_compose", kernel)
     S = make()
     ctx = theorems._Context(S, default_battery(S))
-    W, reps = ctx.members("any"), ctx.support_reps
-    one, one_row = np.ones((1, S.n)), theorems._ONE_ROW
-    for F, rf, G, rg in ((W, reps, W, reps), (W, reps, one, one_row),
-                         (one, one_row, W, reps)):
-        expected = _full_support_scan(ctx.facts, F, G)
+    for tid in ("L17", "C18", "C19"):
+        law = theorems.LAWS[tid]
+        F, G = (ctx.members(role) for role in law.roles)
+        expected = _full_support_scan(ctx.calc.facts, F, G)
         assert expected is not None
-        got = theorems._support_iff_violation(ctx.facts, F, G, rf, rg)
-        assert got == expected
+        i, j, a = expected
+        Fq, Gq = (ctx.support_rows(role) for role in law.roles)
+        qi, qj, qa, _ = theorems._first_pair(ctx.calc, law, Fq, Gq)
+        # battery rows are distinct, so equal rows are the same row
+        assert (list(Fq[qi]), list(Gq[qj]), qa) == (list(F[i]), list(G[j]), a)
 
 
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
 def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
                                                           kernel):
-    monkeypatch.setattr(theorems, "_comp_cross", kernel)
+    monkeypatch.setattr(theorems, "_compose", kernel)
     S = _left_zero3()
     battery = default_battery(S)
     v = check(S, "L17", battery)
     assert v.outcome == "refuted"
     ctx = theorems._Context(S, battery)
     W = ctx.members("any")
-    i, j, a = _full_support_scan(ctx.facts, W, W)
+    i, j, a = _full_support_scan(ctx.calc.facts, W, W)
     assert v.witness == {"law": "support_iff", "variant": "fg",
                          "f": ctx.row_dict(W[i]), "g": ctx.row_dict(W[j]),
                          "element": S.elements[a]}
