@@ -298,12 +298,16 @@ def default_battery(S: GammaStructure, levels: int | None = None,
     return GridBattery(levels=L, mode="sampled", seed=seed)
 
 
+def require_within_cap(S: GammaStructure, battery: GridBattery) -> None:
+    if battery.levels ** S.n > battery.cap:
+        raise ValueError(
+            "exhaustive battery exceeds the cap; switch to sampled mode")
+
+
 def enumerate_grid_battery(S: GammaStructure, battery: GridBattery):
     """Deterministic stream of battery members."""
     if battery.mode == "exhaustive":
-        if battery.levels ** S.n > battery.cap:
-            raise ValueError(
-                "exhaustive battery exceeds the cap; switch to sampled mode")
+        require_within_cap(S, battery)
         lv = grid_levels(battery.levels)
         for combo in itertools.product(lv, repeat=S.n):
             yield FuzzySubset(S, combo)

@@ -100,12 +100,23 @@ def structure_to_dict(S: GammaStructure) -> dict:
     }
 
 
+def _is_list(value, item=lambda v: True) -> bool:
+    return isinstance(value, (list, tuple)) and all(item(v) for v in value)
+
+
 def structure_from_dict(doc: dict, require_compat: bool = True) -> GammaStructure:
     if not isinstance(doc, dict):
         raise StructureError("structure document must be a JSON object")
     for key in ("elements", "gammas", "table", "order"):
         if key not in doc:
             raise StructureError(f"structure document missing {key!r}")
+    for key in ("elements", "gammas"):
+        if not _is_list(doc[key], lambda v: isinstance(v, str)):
+            raise StructureError(f"{key!r} must be a list of strings")
+    if not _is_list(doc["table"], lambda plane: _is_list(plane, _is_list)):
+        raise StructureError("'table' must be a list of lists of lists")
+    if not _is_list(doc["order"]):
+        raise StructureError("'order' must be a list of pairs")
     order = []
     for pair in doc["order"]:
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
@@ -132,7 +143,8 @@ def fuzzy_from_dict(S: GammaStructure, doc: dict) -> FuzzySubset:
         v = doc.get(lbl, 0.0)
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise StructureError(f"membership for {lbl!r} must be a number")
-        if not 0.0 <= float(v) <= 1.0:
+        # compared before float(), which overflows on huge JSON integers
+        if not 0 <= v <= 1:
             raise StructureError(
                 f"membership for {lbl!r} outside [0, 1]: {v!r}")
         vals.append(float(v))

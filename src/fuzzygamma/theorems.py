@@ -266,8 +266,16 @@ class _Context:
         self.S = S
         self.battery = battery
         self.calc = _Kernels(S)
-        members = list(fuzzy.enumerate_grid_battery(S, battery))
-        self.W = np.array([f.values for f in members], dtype=float)
+        if battery.mode == "exhaustive":
+            # every grid vector, in the order of itertools.product
+            fuzzy.require_within_cap(S, battery)
+            lv = np.array(fuzzy.grid_levels(battery.levels))
+            self.W = np.stack(np.meshgrid(*[lv] * S.n, indexing="ij"),
+                              -1).reshape(-1, S.n)
+        else:
+            self.W = np.array(
+                [f.values for f in fuzzy.enumerate_grid_battery(S, battery)],
+                dtype=float)
         self._roles: dict[str, np.ndarray] = {}
         self._classes: dict[str, bool] = {}
 
@@ -281,13 +289,21 @@ class _Context:
                 self.S)
         return self._classes[name]
 
-    def support_rows(self, role: str) -> np.ndarray:
-        """The first row of each support pattern of ``members(role)``."""
-        key = role + ":support"
+    def _selected(self, role: str, key: str, select) -> np.ndarray:
+        key = f"{role}:{key}"
         if key not in self._roles:
             X = self.members(role)
-            self._roles[key] = X[_support_representatives(X)]
+            self._roles[key] = X[select(X)]
         return self._roles[key]
+
+    def support_rows(self, role: str) -> np.ndarray:
+        """The first row of each support pattern of ``members(role)``."""
+        return self._selected(role, "support", _support_representatives)
+
+    def crisp_rows(self, role: str) -> np.ndarray:
+        """The rows of ``members(role)`` whose values are all 0 or 1."""
+        return self._selected(role, "crisp",
+                              lambda X: ((X == 0) | (X == 1)).all(axis=1))
 
     def members(self, role: str) -> np.ndarray:
         """Battery rows for a quantifier role, with ideal augmentation.
@@ -348,10 +364,20 @@ def _first_violation(ctx: _Context, law: Law, direction: str | None = None):
     if law.label:
         w[_LABEL_KEYS[law.kind]] = law.label
     if law.kind in _PAIR_KINDS:
-        # The support laws scan one row per support pattern: both sides of
-        # the statement see a pair of rows only through their supports, so
-        # the first violating row of either side is its pattern's first row.
-        rows = ctx.support_rows if law.kind == "support_iff" else ctx.members
+        rows = ctx.members
+        if law.kind == "support_iff":
+            # Both sides of the statement see a pair of rows only through
+            # their supports, so the first violating row of either side is
+            # its support pattern's first row: scan one row per pattern.
+            rows = ctx.support_rows
+        elif _first_pair(ctx.calc, law, *map(ctx.crisp_rows, law.roles),
+                         direction) is None:
+            # A meet/composition comparison that fails at level t fails on
+            # the cuts {f >= t}, {g >= t}, and every cut of a role's row is
+            # one of its crisp rows, so the law holds on the whole battery.
+            # (The equality clause runs past the forward one, where
+            # composition != meet means composition above meet.)
+            return None
         F, G = (rows(role) for role in law.roles)
         hit = _first_pair(ctx.calc, law, F, G, direction)
         if hit is None:

@@ -2,12 +2,14 @@ import json
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fuzzygamma import serialize
 from fuzzygamma.cli import main
 from fuzzygamma.serialize import (CENSUS_SCHEMA, CLASSIFICATION_SCHEMA,
                                   REPORT_SCHEMA, structure_from_dict,
                                   structure_to_dict)
+from fuzzygamma.structure import StructureError
 
 T1_DOC = {"elements": ["e"], "gammas": ["g"], "table": [[[0]]], "order": []}
 LZ2_DOC = {"elements": ["a", "b"], "gammas": ["g"],
@@ -163,3 +165,60 @@ def test_fuzzy_rejects_unknown_labels():
     S = structure_from_dict(LZ2_DOC)
     with pytest.raises(Exception):
         serialize.fuzzy_from_dict(S, {"q": 0.5})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("order", 5),
+    ("table", 7),
+    ("elements", "a"),
+    ("elements", [["a"]]),
+])
+def test_validate_rejects_malformed_shapes(tmp_path, capsys, field, value):
+    doc = dict(T1_DOC, **{field: value})
+    assert main(["validate", write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+# values shaped like a field, with arbitrary leaves, reach the deeper checks
+NEAR_FIELDS = {
+    "elements": st.lists(JSON_VALUES | st.sampled_from("ab"), max_size=3),
+    "gammas": st.lists(JSON_VALUES | st.just("g"), max_size=2),
+    "table": st.lists(st.lists(st.lists(
+        JSON_VALUES | st.integers(-1, 2), max_size=3), max_size=2),
+        max_size=3),
+    "order": st.lists(st.lists(JSON_VALUES | st.integers(-1, 2), max_size=3)
+                      | JSON_VALUES, max_size=3),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(sorted(NEAR_FIELDS)), data=st.data())
+def test_structure_document_fuzz(field, data):
+    value = data.draw(JSON_VALUES | NEAR_FIELDS[field])
+    doc = dict(LZ2_DOC, **{field: value})
+    try:
+        S = structure_from_dict(doc, require_compat=False)
+    except StructureError:
+        return
+    assert structure_from_dict(structure_to_dict(S),
+                               require_compat=False) == S
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
+                       JSON_VALUES | st.integers(10 ** 308, 10 ** 310),
+                       max_size=3) | JSON_VALUES)
+def test_fuzzy_document_fuzz(doc):
+    S = structure_from_dict(LZ2_DOC)
+    try:
+        f = serialize.fuzzy_from_dict(S, doc)
+    except StructureError:
+        return
+    assert all(0.0 <= v <= 1.0 for v in f.values)

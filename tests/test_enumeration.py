@@ -29,6 +29,18 @@ def test_known_table_counts():
     assert sum(1 for _ in enumerate_tables(3, 1)) == 113
 
 
+# OEIS A023814 (labeled semigroups) and A027851 (semigroups up to
+# isomorphism), anchors from outside the code
+@pytest.mark.parametrize("n, labeled, classes",
+                         [(1, 1, 1), (2, 8, 5), (3, 113, 24), (4, 3492, 188)])
+def test_oeis_semigroup_counts(n, labeled, classes):
+    tables = list(enumerate_tables(n, 1))
+    assert len(tables) == labeled
+    diagonal = frozenset((i, i) for i in range(n))
+    assert len({enumeration.canonical_encoding(n, 1, t, diagonal)
+                for t in tables}) == classes
+
+
 def test_tables_emitted_in_lexicographic_order():
     flat = [tuple(t[x][g][y] for x in range(2) for g in range(1)
                   for y in range(2))

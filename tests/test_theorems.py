@@ -4,9 +4,10 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_lz2, make_nz2
+from conftest import make_lz2, make_nz2, make_t1
 from fuzzygamma import theorems, validate_structure
-from fuzzygamma.fuzzy import GridBattery, default_battery
+from fuzzygamma.fuzzy import (GridBattery, default_battery,
+                              enumerate_grid_battery)
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
                                  find_counterexample, replay_witness)
@@ -253,3 +254,115 @@ def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
     # patch does not reach, composes it to nonzero: replay clears the law
     # and so pins the refutation on the faulty kernel
     assert not replay_witness(S, v)
+
+
+# --- the battery as an array --------------------------------------------
+
+@pytest.mark.parametrize("make, levels", [
+    (make_t1, 2), (make_t1, 5), (make_lz2, 3), (make_lz2, 6),
+    (_left_zero3, 2), (_left_zero3, 8)])
+def test_context_battery_is_the_stream(make, levels):
+    S = make()
+    battery = GridBattery(levels=levels)
+    expected = [f.values for f in enumerate_grid_battery(S, battery)]
+    W = theorems._Context(S, battery).W
+    assert W.dtype == float and W.shape == (levels ** S.n, S.n)
+    assert W.tolist() == [list(v) for v in expected]
+
+
+def test_context_sampled_battery_is_the_stream():
+    S = _left_zero3()
+    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
+    expected = [f.values for f in enumerate_grid_battery(S, battery)]
+    assert theorems._Context(S, battery).W.tolist() == [
+        list(v) for v in expected]
+
+
+def test_context_battery_cap():
+    with pytest.raises(ValueError, match="cap"):
+        theorems._Context(make_nz2(), GridBattery(levels=3, cap=5))
+
+
+# --- crisp-cut screen of the pair laws ----------------------------------
+
+ROLES = ("any", "right", "left", "one")
+# the pair laws, each direction once (L8-unconditional states L8's scan)
+PAIR_SCANS = (("L8", None), ("L9", None), ("L10", None), ("T13", None),
+              ("T13", "equality"), ("T16", None), ("L8-unconditional", None))
+
+
+def _null3(order=()):
+    return validate_structure(["a", "b", "c"], ["g"],
+                              [[[0, 0, 0]], [[0, 0, 0]], [[0, 0, 0]]], order)
+
+
+def _cuts_are_crisp_rows(ctx):
+    weights = 1 << np.arange(ctx.S.n)
+    for role in ROLES:
+        X = ctx.members(role)
+        crisp = ctx.crisp_rows(role)
+        assert ((crisp == 0) | (crisp == 1)).all()
+        # every nonempty cut of a row is its cut at one of its own values
+        cuts = (X[:, None, :] >= X[:, :, None])[X > 0]
+        assert np.isin(cuts @ weights, (crisp > 0) @ weights).all(), role
+
+
+def test_level_cuts_are_crisp_rows_on_the_pool(labeled_pool):
+    for S in labeled_pool:
+        _cuts_are_crisp_rows(theorems._Context(S, default_battery(S)))
+
+
+def test_level_cuts_are_crisp_rows_on_a_sampled_battery():
+    # with b < c, the one-sided ideal roles keep only order-reversing rows
+    battery = GridBattery(levels=8, mode="sampled", seed=5, samples=3000)
+    _cuts_are_crisp_rows(theorems._Context(_null3([(1, 2)]), battery))
+
+
+def _screen_agrees(structures, battery):
+    for S in structures:
+        ctx = theorems._Context(S, battery(S))
+        for tid, direction in PAIR_SCANS:
+            law = theorems.LAWS[tid]
+            full = theorems._first_pair(ctx.calc, law,
+                                        *map(ctx.members, law.roles),
+                                        direction)
+            crisp = theorems._first_pair(ctx.calc, law,
+                                         *map(ctx.crisp_rows, law.roles),
+                                         direction)
+            assert (crisp is None) == (full is None), (S, tid, direction)
+
+
+def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
+    # four levels keep fractional rows (1/3, 2/3) at an eighth of the
+    # default n=3 battery, so the full scans stay cheap
+    _screen_agrees(labeled_pool, lambda S: GridBattery(levels=4))
+
+
+def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
+    _screen_agrees(witness_corpus, default_battery)
+
+
+def _halving_kernel(facts, F, G):
+    C = _real_compose(facts, F, G)
+    return np.where((C > 0) & (C < 1), C / 2, C)
+
+
+def _raising_kernel(facts, F, G):
+    C = _real_compose(facts, F, G)
+    return np.where((C > 0) & (C < 1), np.minimum(1.5 * C, 1.0), C)
+
+
+@pytest.mark.parametrize("kernel, refuted, random_refuted", [
+    (_halving_kernel, {"P6", "L21", "L22"}, {"P6", "L21", "L22"}),
+    (_raising_kernel, {"P6", "C30"}, {"P6", "L10", "C30"})])
+def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
+                                               random_refuted):
+    # both faults keep every 0/1 composition, so the crisp screen cannot see
+    # them; other laws and the random search still do
+    S = _null3()
+    assert all(v.outcome == "holds" for v in check_all(S))
+    monkeypatch.setattr(theorems, "_compose", kernel)
+    assert {v.theorem for v in check_all(S)
+            if v.outcome == "refuted"} == refuted
+    assert {r["law"] for r in cross_validate_random(
+        S, samples=2_000, seed=0)} == random_refuted
