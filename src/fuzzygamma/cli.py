@@ -70,13 +70,12 @@ def cmd_classify(args) -> int:
 def _build_battery(S, args):
     if args.levels is not None and args.levels < 2:
         raise _InputError(f"--levels must be at least 2, got {args.levels}")
-    levels = fuzzy.default_levels(S) if args.levels is None else args.levels
-    if levels ** S.n <= fuzzy.GRID_CAP:
-        return fuzzy.GridBattery(levels=levels)
-    if args.seed is None:
+    battery = fuzzy.default_battery(
+        S, args.levels, seed=0 if args.seed is None else args.seed)
+    if battery.mode == "sampled" and args.seed is None:
         raise _InputError(
             "battery exceeds the exhaustive cap; a --seed is required")
-    return fuzzy.GridBattery(levels=levels, mode="sampled", seed=args.seed)
+    return battery
 
 
 def cmd_check(args) -> int:

@@ -12,7 +12,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .structure import GammaStructure, validate_structure
+from .structure import (GammaStructure, order_is_compatible,
+                        validate_structure)
 
 MAX_N = 4
 MAX_M = 3
@@ -95,21 +96,8 @@ def enumerate_orders(n: int, table=None):
         if any((i, k) not in leq
                for i, j in rel for jj, k in rel if j == jj):
             continue
-        if table is not None:
-            ok = True
-            for i, j in rel:
-                for g in range(m):
-                    for c in range(n):
-                        if ((table[i][g][c], table[j][g][c]) not in leq or
-                                (table[c][g][i], table[c][g][j]) not in leq):
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                continue
+        if table is not None and not order_is_compatible(table, n, m, leq):
+            continue
         yield leq
 
 

@@ -16,9 +16,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from functools import partial
 
-from .structure import (GammaStructure, downward_closure, factorizations,
-                        subset_product)
+from .structure import GammaStructure, factorizations, principal_ideal
 
 
 @dataclass(frozen=True)
@@ -143,31 +143,23 @@ def is_order_reversing(f: FuzzySubset) -> bool:
     return all(f.values[i] >= f.values[j] for i, j in S.leq if i != j)
 
 
-def is_fuzzy_right_ideal(f: FuzzySubset) -> bool:
+def is_fuzzy_ideal(f: FuzzySubset, side: str) -> bool:
+    """Order reversing, with f(x γ y) >= f(x) (right) or >= f(y) (left)."""
     S = f.structure
     if not is_order_reversing(f):
         return False
-    for x in range(S.n):
-        fx = f.values[x]
-        for g in range(S.m):
-            row = S.table[x][g]
-            for y in range(S.n):
-                if f.values[row[y]] < fx:
-                    return False
-    return True
-
-
-def is_fuzzy_left_ideal(f: FuzzySubset) -> bool:
-    S = f.structure
-    if not is_order_reversing(f):
-        return False
+    v = f.values
     for x in range(S.n):
         for g in range(S.m):
             row = S.table[x][g]
             for y in range(S.n):
-                if f.values[row[y]] < f.values[y]:
+                if v[row[y]] < v[x if side == "right" else y]:
                     return False
     return True
+
+
+is_fuzzy_right_ideal = partial(is_fuzzy_ideal, side="right")
+is_fuzzy_left_ideal = partial(is_fuzzy_ideal, side="left")
 
 
 def is_fuzzy_bi_ideal(f: FuzzySubset) -> bool:
@@ -195,53 +187,34 @@ def is_fuzzy_quasi_ideal(f: FuzzySubset) -> bool:
             and leq(meet(compose(f, one), compose(one, f)), f))
 
 
-def is_fuzzy_right_ideal_via_composition(f: FuzzySubset) -> bool:
+def is_below_chain(f: FuzzySubset, word: str) -> bool:
+    """Composition form of an ideal predicate: order reversing and
+    ``chain(word, f)`` below f."""
     return (is_order_reversing(f)
-            and leq(compose(f, constant_one(f.structure)), f))
+            and leq(chain(word, f, compose, constant_one(f.structure)), f))
 
 
-def is_fuzzy_left_ideal_via_composition(f: FuzzySubset) -> bool:
-    return (is_order_reversing(f)
-            and leq(compose(constant_one(f.structure), f), f))
+is_fuzzy_right_ideal_via_composition = partial(is_below_chain, word="f1")
+is_fuzzy_left_ideal_via_composition = partial(is_below_chain, word="1f")
 
 
 def is_fuzzy_bi_ideal_via_composition(f: FuzzySubset) -> bool:
     if not f.structure.associative:
         raise ValueError("bi-ideal predicate requires an associative structure")
-    one = constant_one(f.structure)
-    return (is_order_reversing(f)
-            and leq(compose(compose(f, one), f), f))
+    return is_below_chain(f, "f1f")
 
 
-def _principal_right_sets(S: GammaStructure):
-    M = S.carrier()
-    return [downward_closure(S, {t} | subset_product(S, {t}, M))
-            for t in range(S.n)]
-
-
-def _principal_left_sets(S: GammaStructure):
-    M = S.carrier()
-    return [downward_closure(S, {t} | subset_product(S, M, {t}))
-            for t in range(S.n)]
-
-
-def generated_fuzzy_right_ideal(f: FuzzySubset) -> FuzzySubset:
-    """Pointwise-least fuzzy right ideal lying above f (associative case)."""
+def generated_fuzzy_ideal(f: FuzzySubset, side: str) -> FuzzySubset:
+    """Pointwise-least fuzzy one-sided ideal lying above f (associative case)."""
     S = f.structure
-    principal = _principal_right_sets(S)
-    vals = []
-    for x in range(S.n):
-        vals.append(max(f.values[t] for t in range(S.n) if x in principal[t]))
-    return FuzzySubset(S, tuple(vals))
+    principal = [principal_ideal(S, t, side) for t in range(S.n)]
+    return FuzzySubset(S, tuple(
+        max(f.values[t] for t in range(S.n) if x in principal[t])
+        for x in range(S.n)))
 
 
-def generated_fuzzy_left_ideal(f: FuzzySubset) -> FuzzySubset:
-    S = f.structure
-    principal = _principal_left_sets(S)
-    vals = []
-    for x in range(S.n):
-        vals.append(max(f.values[t] for t in range(S.n) if x in principal[t]))
-    return FuzzySubset(S, tuple(vals))
+generated_fuzzy_right_ideal = partial(generated_fuzzy_ideal, side="right")
+generated_fuzzy_left_ideal = partial(generated_fuzzy_ideal, side="left")
 
 
 GRID_CAP = 1_000_000
@@ -318,5 +291,5 @@ def enumerate_grid_battery(S: GammaStructure, battery: GridBattery):
     for bits in range(2 ** S.n):
         yield characteristic(S, {i for i in range(S.n) if bits >> i & 1})
     for a in range(S.n):
-        yield generated_fuzzy_right_ideal(point_characteristic(S, a))
-        yield generated_fuzzy_left_ideal(point_characteristic(S, a))
+        for side in ("right", "left"):
+            yield generated_fuzzy_ideal(point_characteristic(S, a), side)

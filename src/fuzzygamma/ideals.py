@@ -1,38 +1,48 @@
 """Crisp ideal theory and the four regularity classes.
 
-Each class is decided by several independent procedures that must agree:
-a definitional membership check, an ideal-criterion check (regular and
-intra-regular only) and a fuzzy-witness check built from point
-characteristics.  Disagreement is a fatal internal error, never a report
-state.
+Each class is stated once, as its word in :data:`CLASS_WORDS`: ``f``
+stands for the element a and ``1`` for a free element of M, so regular
+(``f1f``) reads a <= a Γ M Γ a.  Three procedures read the word: the
+definitional element test, the positive-witness search and the fuzzy
+decider.  The principal-ideal criterion (regular and intra-regular only)
+does not, and all procedures deciding a class must agree: disagreement is
+a fatal internal error, never a report state.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 from . import fuzzy
 from .structure import (GammaStructure, chain_product, downward_closure,
-                        subset_product)
+                        one_sided_product, principal_ideal, subset_product)
 
-CLASS_NAMES = ("regular", "intra_regular", "right_regular", "left_regular")
+CLASS_WORDS = {
+    "regular": "f1f",          # a <= a Γ M Γ a
+    "intra_regular": "1ff1",   # a <= M Γ a Γ a Γ M
+    "right_regular": "ff1",    # a <= a Γ a Γ M
+    "left_regular": "1ff",     # a <= M Γ a Γ a
+}
+CLASS_NAMES = tuple(CLASS_WORDS)
 
 
 class DeciderDisagreement(RuntimeError):
     """Two decision procedures for the same class returned different verdicts."""
 
 
-def is_right_ideal(S: GammaStructure, A) -> bool:
+def is_ideal(S: GammaStructure, A, side: str) -> bool:
+    """Whether A is a downward-closed one-sided ideal on ``side``."""
     A = frozenset(A)
-    return (subset_product(S, A, S.carrier()) <= A
+    return (one_sided_product(S, A, side) <= A
             and downward_closure(S, A) == A)
 
 
-def is_left_ideal(S: GammaStructure, A) -> bool:
-    A = frozenset(A)
-    return (subset_product(S, S.carrier(), A) <= A
-            and downward_closure(S, A) == A)
+is_right_ideal = partial(is_ideal, side="right")
+is_left_ideal = partial(is_ideal, side="left")
+principal_right_ideal = partial(principal_ideal, side="right")
+principal_left_ideal = partial(principal_ideal, side="left")
 
 
 def all_subsets(S: GammaStructure):
@@ -40,87 +50,33 @@ def all_subsets(S: GammaStructure):
         yield frozenset(i for i in range(S.n) if bits >> i & 1)
 
 
-def right_ideals(S: GammaStructure):
-    return [A for A in all_subsets(S) if is_right_ideal(S, A)]
-
-
-def left_ideals(S: GammaStructure):
-    return [A for A in all_subsets(S) if is_left_ideal(S, A)]
-
-
-def principal_right_ideal(S: GammaStructure, a: int) -> frozenset[int]:
-    return downward_closure(S, {a} | subset_product(S, {a}, S.carrier()))
-
-
-def principal_left_ideal(S: GammaStructure, a: int) -> frozenset[int]:
-    return downward_closure(S, {a} | subset_product(S, S.carrier(), {a}))
-
-
-# --- per-element definitional memberships -------------------------------
-
-def element_regular(S: GammaStructure, a: int) -> bool:
+def in_class(S: GammaStructure, a: int, name: str) -> bool:
+    """Definitional test: a lies below a product of its class's word."""
     M = S.carrier()
-    return a in downward_closure(S, chain_product(S, {a}, M, {a}))
+    return a in downward_closure(S, chain_product(
+        S, *({a} if c == "f" else M for c in CLASS_WORDS[name])))
 
 
-def element_intra_regular(S: GammaStructure, a: int) -> bool:
-    M = S.carrier()
-    return a in downward_closure(S, chain_product(S, M, {a}, {a}, M))
+def ideal_criterion(S: GammaStructure, a: int, reverse: bool = False) -> bool:
+    """R(a) ∩ L(a) lies below R(a) Γ L(a), or L(a) Γ R(a) with ``reverse``:
+    the principal-ideal criterion of regularity (of intra-regularity when
+    reversed)."""
+    R = principal_ideal(S, a, "right")
+    L = principal_ideal(S, a, "left")
+    A, B = (L, R) if reverse else (R, L)
+    return (R & L) <= downward_closure(S, subset_product(S, A, B))
 
 
-def element_right_regular(S: GammaStructure, a: int) -> bool:
-    M = S.carrier()
-    return a in downward_closure(S, chain_product(S, {a}, {a}, M))
+def _every_element(test, *args):
+    return lambda S: all(test(S, a, *args) for a in range(S.n))
 
 
-def element_left_regular(S: GammaStructure, a: int) -> bool:
-    M = S.carrier()
-    return a in downward_closure(S, chain_product(S, M, {a}, {a}))
-
-
-_ELEMENT_TESTS = {
-    "regular": element_regular,
-    "intra_regular": element_intra_regular,
-    "right_regular": element_right_regular,
-    "left_regular": element_left_regular,
-}
-
-
-# --- ideal criteria -----------------------------------------------------
-
-def regular_ideal_criterion(S: GammaStructure, a: int) -> bool:
-    R = principal_right_ideal(S, a)
-    L = principal_left_ideal(S, a)
-    return (R & L) <= downward_closure(S, subset_product(S, R, L))
-
-
-def intra_ideal_criterion(S: GammaStructure, a: int) -> bool:
-    R = principal_right_ideal(S, a)
-    L = principal_left_ideal(S, a)
-    return (R & L) <= downward_closure(S, subset_product(S, L, R))
-
-
-def _every_element(test):
-    return lambda S: all(test(S, a) for a in range(S.n))
-
-
-# --- fuzzy-witness deciders ---------------------------------------------
-# Each evaluates the relevant composition chain at the single point a with
-# the point characteristic of a, following the converse arguments of the
-# corresponding characterizations.
-
-_FUZZY_SHAPES = {
-    "regular": "f1f",
-    "intra_regular": "1ff1",
-    "right_regular": "ff1",
-    "left_regular": "1ff",
-}
-
-
-def _every_point_chain(shape):
+def _every_point_chain(word):
+    # the class's word as a composition chain of the point characteristic
+    # of a, evaluated at a (the converse arguments of the characterizations)
     def decide(S):
         one = fuzzy.constant_one(S)
-        return all(fuzzy.chain(shape, fuzzy.point_characteristic(S, a),
+        return all(fuzzy.chain(word, fuzzy.point_characteristic(S, a),
                                fuzzy.compose, one).values[a] == 1.0
                    for a in range(S.n))
     return decide
@@ -128,72 +84,59 @@ def _every_point_chain(shape):
 
 # --- witnesses ----------------------------------------------------------
 # Positive witnesses rescan products to recover concrete operation indices
-# (the factorization relation drops them); ties broken by smallest index.
+# (the factorization relation drops them).
 
-def regular_witness(S: GammaStructure, a: int):
-    for x in range(S.n):
-        for g in range(S.m):
-            p = S.table[a][g][x]
-            for mu in range(S.m):
-                if S.le(a, S.table[p][mu][a]):
-                    return {"element": S.elements[a], "x": S.elements[x],
-                            "gammas": [S.gammas[g], S.gammas[mu]]}
+def _least_operations(table, ops, leq, a: int, acc: int, operands):
+    """The lexicographically least operations (g1, g2, ...) with
+    a <= acc g1 operands[0] g2 operands[1] ..., taken left to right."""
+    row, nxt, rest = table[acc], operands[0], operands[1:]
+    for g in ops:
+        if not rest:
+            if (a, row[g][nxt]) in leq:
+                return (g,)
+            continue
+        found = _least_operations(table, ops, leq, a, row[g][nxt], rest)
+        if found is not None:
+            return (g,) + found
     return None
 
 
-def intra_regular_witness(S: GammaStructure, a: int):
-    for x in range(S.n):
-        for y in range(S.n):
-            for g1 in range(S.m):
-                p = S.table[x][g1][a]
-                for g2 in range(S.m):
-                    q = S.table[p][g2][a]
-                    for g3 in range(S.m):
-                        if S.le(a, S.table[q][g3][y]):
-                            return {"element": S.elements[a],
-                                    "x": S.elements[x], "y": S.elements[y],
-                                    "gammas": [S.gammas[g1], S.gammas[g2],
-                                               S.gammas[g3]]}
+@lru_cache(maxsize=1024)
+def _operand_sequences(word: str, n: int, a: int):
+    """The operands of ``word`` at a, the free elements ascending, the
+    first of them slowest."""
+    return tuple(itertools.product(
+        *((a,) if c == "f" else range(n) for c in word)))
+
+
+def witness(S: GammaStructure, a: int, name: str):
+    """The first factorization of a through its class's word, or None.
+
+    Free elements (``x``, then ``y``) vary slowest, then the operations,
+    each ascending; the product is taken left to right.
+    """
+    word = CLASS_WORDS[name]
+    ops = range(S.m)
+    for operands in _operand_sequences(word, S.n, a):
+        gammas = _least_operations(S.table, ops, S.leq, a, operands[0],
+                                   operands[1:])
+        if gammas is not None:
+            w = {"element": S.elements[a]}
+            w.update(zip(("x", "y"), (S.elements[o] for o, c
+                                      in zip(operands, word) if c == "1")))
+            w["gammas"] = [S.gammas[g] for g in gammas]
+            return w
     return None
 
-
-def right_regular_witness(S: GammaStructure, a: int):
-    for x in range(S.n):
-        for g1 in range(S.m):
-            p = S.table[a][g1][a]
-            for g2 in range(S.m):
-                if S.le(a, S.table[p][g2][x]):
-                    return {"element": S.elements[a], "x": S.elements[x],
-                            "gammas": [S.gammas[g1], S.gammas[g2]]}
-    return None
-
-
-def left_regular_witness(S: GammaStructure, a: int):
-    for x in range(S.n):
-        for g1 in range(S.m):
-            p = S.table[x][g1][a]
-            for g2 in range(S.m):
-                if S.le(a, S.table[p][g2][a]):
-                    return {"element": S.elements[a], "x": S.elements[x],
-                            "gammas": [S.gammas[g1], S.gammas[g2]]}
-    return None
-
-
-_WITNESS_FNS = {
-    "regular": regular_witness,
-    "intra_regular": intra_regular_witness,
-    "right_regular": right_regular_witness,
-    "left_regular": left_regular_witness,
-}
 
 # Every procedure deciding each class, by kind: "definitional", "ideal"
 # (regular and intra-regular only) and "fuzzy".
-_DECIDERS = {name: {"definitional": _every_element(test)}
-             for name, test in _ELEMENT_TESTS.items()}
-_DECIDERS["regular"]["ideal"] = _every_element(regular_ideal_criterion)
-_DECIDERS["intra_regular"]["ideal"] = _every_element(intra_ideal_criterion)
-for name, shape in _FUZZY_SHAPES.items():
-    _DECIDERS[name]["fuzzy"] = _every_point_chain(shape)
+_DECIDERS = {name: {"definitional": _every_element(in_class, name)}
+             for name in CLASS_NAMES}
+_DECIDERS["regular"]["ideal"] = _every_element(ideal_criterion)
+_DECIDERS["intra_regular"]["ideal"] = _every_element(ideal_criterion, True)
+for name, word in CLASS_WORDS.items():
+    _DECIDERS[name]["fuzzy"] = _every_point_chain(word)
 
 
 @dataclass(frozen=True)
@@ -225,11 +168,11 @@ def classify(S: GammaStructure) -> ClassificationReport:
                 f"{S.digest()}: {verdicts}")
         holds = next(iter(verdicts.values()))
         if holds:
-            witnesses = tuple(_WITNESS_FNS[name](S, a) for a in range(S.n))
+            witnesses = tuple(witness(S, a, name) for a in range(S.n))
             failing = None
         else:
             witnesses = ()
             failing = next(S.elements[a] for a in range(S.n)
-                           if not _ELEMENT_TESTS[name](S, a))
+                           if not in_class(S, a, name))
         classes[name] = ClassVerdict(holds, verdicts, witnesses, failing)
     return ClassificationReport(S.digest(), classes)

@@ -4,8 +4,8 @@ A gamma structure is a finite carrier M together with a finite family of
 binary operations (indexed by "gamma" labels) and a partial order on M.
 The order is expected to be compatible with every operation on both sides;
 validation computes and records this, and can be relaxed on request.
-All set-level primitives (downward closure, subset products, the
-factorization relation) live here.
+All set-level primitives (downward closure, subset products, principal
+ideals, the factorization relation) live here.
 """
 
 from __future__ import annotations
@@ -199,8 +199,7 @@ def is_associative(S: GammaStructure) -> bool:
 def downward_closure(S: GammaStructure, subset) -> frozenset[int]:
     """All elements lying below some member of ``subset``."""
     subset = frozenset(subset)
-    return frozenset(t for t in range(S.n)
-                     if any(S.le(t, a) for a in subset))
+    return frozenset(i for i, j in S.leq if j in subset)
 
 
 def subset_product(S: GammaStructure, A, B) -> frozenset[int]:
@@ -212,6 +211,24 @@ def subset_product(S: GammaStructure, A, B) -> frozenset[int]:
             for b in B:
                 out.add(row[b])
     return frozenset(out)
+
+
+def one_sided_product(S: GammaStructure, A, side: str) -> frozenset[int]:
+    """A Γ M for ``side="right"``, M Γ A for ``side="left"``.
+
+    This is the side convention of every right/left pair in the package:
+    a right ideal absorbs the carrier on its right, a left ideal on its
+    left, and each pair is one function taking ``side``.
+    """
+    M = S.carrier()
+    return (subset_product(S, A, M) if side == "right"
+            else subset_product(S, M, A))
+
+
+def principal_ideal(S: GammaStructure, a: int, side: str) -> frozenset[int]:
+    """The least one-sided ideal containing a: the closure of a ∪ a Γ M
+    (right) or a ∪ M Γ a (left)."""
+    return downward_closure(S, {a} | one_sided_product(S, {a}, side))
 
 
 def chain_product(S: GammaStructure, *subsets) -> frozenset[int]:

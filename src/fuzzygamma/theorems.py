@@ -124,9 +124,8 @@ class _Calculus:
 
     def elements(self, name: str) -> np.ndarray:
         if name not in self._elements:
-            test = ideals._ELEMENT_TESTS[name]
             self._elements[name] = np.array(
-                [test(self.S, a) for a in range(self.S.n)])
+                [ideals.in_class(self.S, a, name) for a in range(self.S.n)])
         return self._elements[name]
 
 
@@ -320,14 +319,12 @@ class _Context:
         elif role == "one":
             arr = np.ones((1, S.n))
         else:
-            right = role == "right"
-            crisp = ideals.right_ideals(S) if right else ideals.left_ideals(S)
-            generate = (fuzzy.generated_fuzzy_right_ideal if right
-                        else fuzzy.generated_fuzzy_left_ideal)
             extra = [[1.0 if i in A else 0.0 for i in range(S.n)]
-                     for A in crisp]
-            extra += [list(generate(fuzzy.point_characteristic(S, a)).values)
-                      for a in range(S.n)]
+                     for A in ideals.all_subsets(S)
+                     if ideals.is_ideal(S, A, role)]
+            extra += [fuzzy.generated_fuzzy_ideal(
+                fuzzy.point_characteristic(S, a), role).values
+                for a in range(S.n)]
             arr = np.concatenate([self.W[_MASKS[role](S, self.W)],
                                   np.array(extra, dtype=float)])
         self._roles[role] = arr
@@ -427,7 +424,7 @@ def _scan(ctx: _Context, law: Law):
             return True, False, None
         S = ctx.S
         failing = next(a for a in range(S.n)
-                       if not ideals._ELEMENT_TESTS[law.iff](S, a))
+                       if not ideals.in_class(S, a, law.iff))
         return False, False, {
             "law": "class_mismatch", "class": law.iff,
             "definitional": False, "criterion": True,
@@ -455,8 +452,7 @@ def _first(witnesses):
 def _char_bridge(S, A, sides):
     fa = fuzzy.characteristic(S, A)
     for side in sides:
-        crisp = (ideals.is_right_ideal if side == "right"
-                 else ideals.is_left_ideal)(S, A)
+        crisp = ideals.is_ideal(S, A, side)
         fz = _PREDICATES[side](fa)
         if crisp != fz:
             return {"law": "char_bridge", "side": side,

@@ -1,10 +1,11 @@
-"""Independent brute-force oracle for the enumerator.
+"""Independent brute-force oracle for the enumerator and the regularity classes.
 
 Deliberately naive: every table in the full cell space is filtered by a
 complete associativity scan, every relation on the carrier by the poset
 axioms and two-sided compatibility, and isomorphism is decided by explicit
-permutation search.  Nothing here shares code with the pruned enumerator
-beyond the raw data layout.
+permutation search.  The four regularity classes are tested element by
+element with one loop per quantifier.  Nothing here shares code with the
+program beyond the raw data layout.
 
 Runnable as a script to print counts:  python3 tests/naive_oracle.py
 """
@@ -87,6 +88,58 @@ def isomorphic(n: int, m: int, s1, s2) -> bool:
             if frozenset((sigma[i], sigma[j]) for i, j in o1) == o2:
                 return True
     return False
+
+
+# --- regularity classes -------------------------------------------------
+# One membership test per class, written out from its definition:
+# a <= a Γ M Γ a, a <= M Γ a Γ a Γ M, a <= a Γ a Γ M and a <= M Γ a Γ a,
+# products taken left to right.
+
+def naive_regular(n: int, m: int, table, leq, a: int) -> bool:
+    for x in range(n):
+        for g in range(m):
+            for mu in range(m):
+                if (a, table[table[a][g][x]][mu][a]) in leq:
+                    return True
+    return False
+
+
+def naive_intra_regular(n: int, m: int, table, leq, a: int) -> bool:
+    for x in range(n):
+        for y in range(n):
+            for g1 in range(m):
+                for g2 in range(m):
+                    for g3 in range(m):
+                        p = table[table[table[x][g1][a]][g2][a]][g3][y]
+                        if (a, p) in leq:
+                            return True
+    return False
+
+
+def naive_right_regular(n: int, m: int, table, leq, a: int) -> bool:
+    for x in range(n):
+        for g1 in range(m):
+            for g2 in range(m):
+                if (a, table[table[a][g1][a]][g2][x]) in leq:
+                    return True
+    return False
+
+
+def naive_left_regular(n: int, m: int, table, leq, a: int) -> bool:
+    for x in range(n):
+        for g1 in range(m):
+            for g2 in range(m):
+                if (a, table[table[x][g1][a]][g2][a]) in leq:
+                    return True
+    return False
+
+
+NAIVE_CLASSES = {
+    "regular": naive_regular,
+    "intra_regular": naive_intra_regular,
+    "right_regular": naive_right_regular,
+    "left_regular": naive_left_regular,
+}
 
 
 def main():

@@ -97,6 +97,20 @@ def test_check_rejects_levels_below_two(tmp_path, capsys, levels):
     assert "Traceback" not in err
 
 
+def test_check_sampled_battery_needs_seed(tmp_path, capsys):
+    # 1001 levels on two elements exceed the exhaustive cap
+    path = write(tmp_path, "lz2.json", LZ2_DOC)
+    assert main(["check", path, "--theorem", "L10",
+                 "--levels", "1001"]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "--seed" in err
+    assert main(["check", path, "--theorem", "L10", "--levels", "1001",
+                 "--seed", "3", "--json"]) == 0
+    (verdict,) = json.loads(capsys.readouterr().out)["theorems"]
+    assert verdict["battery"].startswith("sampled battery (10000 draws, "
+                                         "seed=3)")
+
+
 def test_check_unknown_theorem(tmp_path, capsys):
     assert main(["check", write(tmp_path, "t1.json", T1_DOC),
                  "--theorem", "T99"]) == 2

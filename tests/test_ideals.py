@@ -1,6 +1,11 @@
+import hashlib
+import json
+
 import pytest
 
-from fuzzygamma import ideals
+import naive_oracle
+from fuzzygamma import ideals, serialize
+from fuzzygamma.enumeration import SearchSpec, enumerate_structures
 from fuzzygamma.fuzzy import characteristic, is_fuzzy_left_ideal, \
     is_fuzzy_right_ideal
 from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
@@ -126,3 +131,54 @@ def test_left_right_duality(labeled_pool):
 def test_all_deciders_agree_on_pool_sample(labeled_pool):
     for S in labeled_pool[:150]:
         classify(S)  # raises DeciderDisagreement on any mismatch
+
+
+# each class's product as its operands, left to right, at the element a
+# and the witness's free elements x and y
+PRODUCTS = {
+    "regular": lambda a, x, y: (a, x, a),
+    "intra_regular": lambda a, x, y: (x, a, a, y),
+    "right_regular": lambda a, x, y: (a, a, x),
+    "left_regular": lambda a, x, y: (x, a, a),
+}
+
+
+def test_classify_matches_naive_oracle(labeled_pool):
+    for S in labeled_pool:
+        for name, verdict in classify(S).classes.items():
+            member = [naive_oracle.NAIVE_CLASSES[name](S.n, S.m, S.table,
+                                                        S.leq, a)
+                      for a in range(S.n)]
+            assert verdict.holds == all(member)
+            if not verdict.holds:
+                assert verdict.failing_element == \
+                    S.elements[member.index(False)]
+                continue
+            assert [w["element"] for w in verdict.witnesses] == \
+                list(S.elements)
+            for w in verdict.witnesses:
+                a, x, y = (S.index(w[k]) if k in w else None
+                           for k in ("element", "x", "y"))
+                operands = PRODUCTS[name](a, x, y)
+                gammas = [S.gammas.index(g) for g in w["gammas"]]
+                assert len(gammas) == len(operands) - 1
+                product = operands[0]
+                for g, o in zip(gammas, operands[1:]):
+                    product = S.table[product][g][o]
+                assert S.le(a, product)
+
+
+def _report_sha256(structures):
+    sha = hashlib.sha256()
+    for S in structures:
+        sha.update(json.dumps(serialize.classification_to_dict(classify(S)),
+                              sort_keys=True).encode())
+    return sha.hexdigest()
+
+
+def test_classify_reports_pinned(labeled_pool):
+    # pins every verdict, failing element and witness tie-break
+    assert _report_sha256(labeled_pool) == (
+        "382a12539474248b09597c4f956dd5b4949bfeeb1a950d6176f3521d053fd45f")
+    assert _report_sha256(enumerate_structures(SearchSpec(3, 2))) == (
+        "1615d30baff3cd34a63836f09a33ec8eecfb0091e62a44a216c3962d0ab13755")
