@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 
 from . import __version__, enumeration, fuzzy, ideals, serialize, theorems
 from .structure import StructureError
@@ -121,15 +122,16 @@ def cmd_compose(args) -> int:
 
 def cmd_enumerate(args) -> int:
     try:
-        spec = enumeration.SearchSpec(n=args.n, m=args.m, limit=None,
+        spec = enumeration.SearchSpec(n=args.n, m=args.m, limit=args.limit,
                                       up_to_iso=args.up_to_iso)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     counts = {name: 0 for name in ideals.CLASS_NAMES}
     total = 0
     truncated = False
-    for S in enumeration.enumerate_structures(spec):
-        if args.limit is not None and total >= args.limit:
+    # run one structure past the limit, to tell whether it truncated
+    for S in enumeration.enumerate_structures(replace(spec, limit=None)):
+        if spec.limit is not None and total >= spec.limit:
             truncated = True
             break
         total += 1

@@ -1,14 +1,15 @@
 """Exhaustive generation of small ordered gamma-semigroups.
 
 Tables are filled cell by cell in row-major order with associativity-pruned
-backtracking; orders are enumerated as full relation matrices filtered for
-the poset axioms and two-sided compatibility.  Isomorphism reduction is a
-brute-force permutation search over element and operation relabelings,
+backtracking.  The labeled posets on n elements (OEIS A001035) are listed
+once per n and filtered per table for two-sided compatibility.  Isomorphism
+reduction is a brute-force search over element and operation relabelings,
 adequate at the configured caps.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -33,15 +34,13 @@ class SearchSpec:
         if self.n > MAX_N or self.m > MAX_M:
             raise ValueError(
                 f"search caps exceeded (n <= {MAX_N}, m <= {MAX_M})")
-
-
-def _check_caps(n: int, m: int) -> None:
-    SearchSpec(n=n, m=m)
+        if self.limit is not None and self.limit < 0:
+            raise ValueError(f"limit must be non-negative, got {self.limit}")
 
 
 def enumerate_tables(n: int, m: int):
     """All fully associative tables, lexicographic in row-major cell order."""
-    _check_caps(n, m)
+    SearchSpec(n=n, m=m)  # raises past the search caps
     cells = [(x, g, y) for x in range(n) for g in range(m) for y in range(n)]
     triples = [(x, g, y, mu, z)
                for x in range(n) for g in range(m) for y in range(n)
@@ -79,13 +78,10 @@ def enumerate_tables(n: int, m: int):
     yield from fill(0)
 
 
-def enumerate_orders(n: int, table=None):
-    """All labeled partial orders on n elements, bitmask-ascending.
-
-    With a table given, only orders compatible with every operation on both
-    sides are kept.  The discrete order (bitmask 0) always qualifies.
-    """
-    m = len(table[0]) if table is not None else 0
+@functools.cache
+def _posets(n: int) -> tuple[frozenset, ...]:
+    """All labeled partial orders on n elements, bitmask-ascending."""
+    posets = []
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     diagonal = frozenset((i, i) for i in range(n))
     for bits in range(2 ** len(offdiag)):
@@ -96,45 +92,33 @@ def enumerate_orders(n: int, table=None):
         if any((i, k) not in leq
                for i, j in rel for jj, k in rel if j == jj):
             continue
-        if table is not None and not order_is_compatible(table, n, m, leq):
-            continue
-        yield leq
+        posets.append(leq)
+    return tuple(posets)
 
 
-def _element_labels(n: int) -> list[str]:
-    return [f"e{i}" for i in range(n)]
+def enumerate_orders(n: int, table=None):
+    """The labeled partial orders on n elements, bitmask-ascending; with a
+    table, only those compatible with each operation on both sides."""
+    for leq in _posets(n):
+        if table is None or order_is_compatible(table, n, len(table[0]), leq):
+            yield leq
 
 
-def _gamma_labels(m: int) -> list[str]:
-    return [f"g{k}" for k in range(m)]
-
-
-def _encode(n: int, m: int, table, leq):
-    flat = tuple(table[x][g][y]
-                 for x in range(n) for g in range(m) for y in range(n))
-    return flat, tuple(sorted(leq))
-
-
-def _relabel(n: int, m: int, table, leq, sigma, tau):
-    new_table = [[[0] * n for _ in range(m)] for _ in range(n)]
-    for x in range(n):
-        for g in range(m):
-            for y in range(n):
-                new_table[sigma[x]][tau[g]][sigma[y]] = sigma[table[x][g][y]]
-    new_leq = frozenset((sigma[i], sigma[j]) for i, j in leq)
-    return new_table, new_leq
+def _encoding(n: int, m: int, table, leq, elems=None, ops=None):
+    """Flat table and sorted order, relabeled: new element i is old element
+    ``elems[i]``, new operation k is old ``ops[k]`` (identity by default)."""
+    elems, ops = elems or range(n), ops or range(m)
+    rank = {x: i for i, x in enumerate(elems)}
+    flat = tuple(rank[table[x][g][y]]
+                 for x in elems for g in ops for y in elems)
+    return flat, tuple(sorted((rank[i], rank[j]) for i, j in leq))
 
 
 def canonical_encoding(n: int, m: int, table, leq):
     """Lexicographically least encoding over all relabelings."""
-    best = None
-    for sigma in itertools.permutations(range(n)):
-        for tau in itertools.permutations(range(m)):
-            t2, l2 = _relabel(n, m, table, leq, sigma, tau)
-            enc = _encode(n, m, t2, l2)
-            if best is None or enc < best:
-                best = enc
-    return best
+    return min(_encoding(n, m, table, leq, elems, ops)
+               for elems in itertools.permutations(range(n))
+               for ops in itertools.permutations(range(m)))
 
 
 def canonical_form(S: GammaStructure):
@@ -155,16 +139,15 @@ def enumerate_structures(spec: SearchSpec):
     canonical one, so each isomorphism class is represented once (the
     labeled space is complete, hence contains every class's minimum).
     """
-    labels = _element_labels(spec.n)
-    glabels = _gamma_labels(spec.m)
+    n, m = spec.n, spec.m
+    labels = [f"e{i}" for i in range(n)]
+    glabels = [f"g{k}" for k in range(m)]
     emitted = 0
-    for table in enumerate_tables(spec.n, spec.m):
-        order_table = table if spec.require_compat else None
-        for leq in enumerate_orders(spec.n, order_table):
-            if spec.up_to_iso:
-                enc = _encode(spec.n, spec.m, table, leq)
-                if enc != canonical_encoding(spec.n, spec.m, table, leq):
-                    continue
+    for table in enumerate_tables(n, m):
+        for leq in enumerate_orders(n, table if spec.require_compat else None):
+            if spec.up_to_iso and (_encoding(n, m, table, leq)
+                                   != canonical_encoding(n, m, table, leq)):
+                continue
             if spec.limit is not None and emitted >= spec.limit:
                 return
             yield validate_structure(labels, glabels, table, sorted(leq),

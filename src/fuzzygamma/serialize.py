@@ -6,29 +6,6 @@ from .fuzzy import FuzzySubset
 from .ideals import ClassificationReport
 from .structure import GammaStructure, StructureError, validate_structure
 
-STRUCTURE_SCHEMA = {
-    "type": "object",
-    "required": ["elements", "gammas", "table", "order"],
-    "properties": {
-        "elements": {"type": "array", "items": {"type": "string"},
-                     "minItems": 1, "uniqueItems": True},
-        "gammas": {"type": "array", "items": {"type": "string"},
-                   "minItems": 1, "uniqueItems": True},
-        "table": {"type": "array", "items": {
-            "type": "array", "items": {
-                "type": "array", "items": {"type": "integer", "minimum": 0}}}},
-        "order": {"type": "array", "items": {
-            "type": "array", "items": {"type": "integer", "minimum": 0},
-            "minItems": 2, "maxItems": 2}},
-    },
-    "additionalProperties": False,
-}
-
-FUZZY_SCHEMA = {
-    "type": "object",
-    "additionalProperties": {"type": "number", "minimum": 0, "maximum": 1},
-}
-
 CLASSIFICATION_SCHEMA = {
     "type": "object",
     "required": ["structure", "classes"],

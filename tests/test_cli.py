@@ -166,6 +166,10 @@ def test_enumerate_truncation_flag(tmp_path, capsys):
 
 def test_enumerate_caps(capsys):
     assert main(["enumerate", "--n", "9", "--m", "1"]) == 2
+    assert main(["enumerate", "--n", "2", "--m", "1", "--limit", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "limit" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_structure_roundtrip_digest():

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 import naive_oracle
@@ -39,6 +41,37 @@ def test_oeis_semigroup_counts(n, labeled, classes):
     diagonal = frozenset((i, i) for i in range(n))
     assert len({enumeration.canonical_encoding(n, 1, t, diagonal)
                 for t in tables}) == classes
+
+
+# OEIS A001035 (labeled posets), an anchor from outside the code
+@pytest.mark.parametrize("n, posets", [(1, 1), (2, 3), (3, 19), (4, 219)])
+def test_oeis_poset_counts(n, posets):
+    orders = list(enumerate_orders(n))
+    assert len(orders) == posets
+    if n <= 3:
+        assert set(orders) == set(naive_oracle.naive_orders(n))
+    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
+    bits = [sum(1 << k for k, p in enumerate(offdiag) if p in leq)
+            for leq in orders]
+    assert bits == sorted(bits)
+
+
+# sha256 (first 32 hex digits) of each emitted structure's
+# repr((elements, gammas, table, sorted(leq))), concatenated in stream order
+@pytest.mark.parametrize("spec, count, digest", [
+    (SearchSpec(n=3, m=2, up_to_iso=True), 371,
+     "c002de93d24a3eab7d07767d0c3fd444"),
+    (SearchSpec(n=4, m=1, limit=2000), 2000,
+     "7e536f0ba583f78e2af948f2cd881bc0"),
+])
+def test_emitted_stream_pinned(spec, count, digest):
+    sha = hashlib.sha256()
+    emitted = 0
+    for S in enumerate_structures(spec):
+        sha.update(repr((S.elements, S.gammas, S.table,
+                         sorted(S.leq))).encode())
+        emitted += 1
+    assert (emitted, sha.hexdigest()[:32]) == (count, digest)
 
 
 def test_tables_emitted_in_lexicographic_order():
@@ -131,6 +164,8 @@ def test_caps_enforced():
         SearchSpec(n=5, m=1)
     with pytest.raises(ValueError, match="caps"):
         SearchSpec(n=2, m=4)
+    with pytest.raises(ValueError, match="limit"):
+        SearchSpec(n=2, m=1, limit=-3)
 
 
 def test_no_compat_mode_includes_incompatible_orders():
