@@ -1,7 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success / all properties hold, 1 a property was refuted,
-2 bad input (unreadable file, invalid structure, unknown theorem id).
+2 bad input (unreadable or non-UTF-8 file, invalid structure, unknown
+theorem id, unwritable census path).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -126,6 +127,12 @@ def cmd_enumerate(args) -> int:
                                       up_to_iso=args.up_to_iso)
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
+    if args.census:
+        # an unwritable path fails here, before the enumeration runs
+        try:
+            open(args.census, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise _InputError(f"cannot write {args.census}: {exc}") from exc
     counts = {name: 0 for name in ideals.CLASS_NAMES}
     total = 0
     truncated = False

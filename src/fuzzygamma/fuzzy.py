@@ -3,7 +3,8 @@
 A fuzzy subset assigns each carrier element a membership degree in [0, 1].
 Composition is sup-min over the factorization relation; the order, meet and
 the constant-one subset make the fuzzy subsets an ordered algebra.  The four
-fuzzy ideal predicates are provided in definitional form and in
+fuzzy ideal predicates are provided in definitional form, each stated once
+as its pointwise inequalities (:func:`ideal_inequalities`), and in
 composition-inequality form (both must agree on valid structures; the
 agreement itself is verified in the law registry).
 
@@ -16,7 +17,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from .structure import GammaStructure, factorizations, principal_ideal
 
@@ -138,24 +139,49 @@ def point_characteristic(S: GammaStructure, a: int) -> FuzzySubset:
     return characteristic(S, {a})
 
 
+# bounded, so a sweep over many structures does not keep every list alive
+@lru_cache(maxsize=64)
+def ideal_inequalities(S: GammaStructure,
+                       name: str) -> tuple[tuple[int, int, int], ...]:
+    """The inequalities ``f(t) >= min(f(x), f(z))`` defining a fuzzy ideal.
+
+    ``name`` is "order_reversing" (``f(i) >= f(j)`` for each ``i < j``),
+    "right" (also ``f(x γ y) >= f(x)``), "left" (also ``f(x γ y) >= f(y)``)
+    or "bi" (also ``f((x γ y) μ z) >= min(f(x), f(z))``, over all pairs of
+    operations).  Returns the distinct triples ``(t, x, z)`` with
+    ``x <= z``, leaving out those with ``t == x == z``, which always hold.
+    """
+    if name == "bi" and not S.associative:
+        raise ValueError("bi-ideal predicate requires an associative structure")
+    T, n, m = S.table, range(S.n), range(S.m)
+    triples = [(i, j, j) for i, j in sorted(S.leq) if i != j]
+    if name == "right":
+        triples += [(T[x][g][y], x, x) for x in n for g in m for y in n]
+    elif name == "left":
+        triples += [(T[x][g][y], y, y) for x in n for g in m for y in n]
+    elif name == "bi":
+        triples += [(T[T[x][g][y]][mu][z], x, z)
+                    for x in n for g in m for y in n for mu in m for z in n]
+    elif name != "order_reversing":
+        raise ValueError(f"unknown fuzzy ideal notion {name!r}")
+    return tuple(dict.fromkeys((t, min(x, z), max(x, z))
+                               for t, x, z in triples if not t == x == z))
+
+
+def satisfies(f: FuzzySubset, name: str) -> bool:
+    """Whether f meets every inequality of ``ideal_inequalities``."""
+    v = f.values
+    return all(v[t] >= min(v[x], v[z])
+               for t, x, z in ideal_inequalities(f.structure, name))
+
+
 def is_order_reversing(f: FuzzySubset) -> bool:
-    S = f.structure
-    return all(f.values[i] >= f.values[j] for i, j in S.leq if i != j)
+    return satisfies(f, "order_reversing")
 
 
 def is_fuzzy_ideal(f: FuzzySubset, side: str) -> bool:
     """Order reversing, with f(x γ y) >= f(x) (right) or >= f(y) (left)."""
-    S = f.structure
-    if not is_order_reversing(f):
-        return False
-    v = f.values
-    for x in range(S.n):
-        for g in range(S.m):
-            row = S.table[x][g]
-            for y in range(S.n):
-                if v[row[y]] < v[x if side == "right" else y]:
-                    return False
-    return True
+    return satisfies(f, side)
 
 
 is_fuzzy_right_ideal = partial(is_fuzzy_ideal, side="right")
@@ -163,22 +189,7 @@ is_fuzzy_left_ideal = partial(is_fuzzy_ideal, side="left")
 
 
 def is_fuzzy_bi_ideal(f: FuzzySubset) -> bool:
-    # The inner product is taken over all pairs of operations.
-    S = f.structure
-    if not S.associative:
-        raise ValueError("bi-ideal predicate requires an associative structure")
-    if not is_order_reversing(f):
-        return False
-    for x in range(S.n):
-        for g in range(S.m):
-            for y in range(S.n):
-                xy = S.table[x][g][y]
-                for mu in range(S.m):
-                    row = S.table[xy][mu]
-                    for z in range(S.n):
-                        if f.values[row[z]] < min(f.values[x], f.values[z]):
-                            return False
-    return True
+    return satisfies(f, "bi")
 
 
 def is_fuzzy_quasi_ideal(f: FuzzySubset) -> bool:

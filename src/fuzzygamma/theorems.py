@@ -15,7 +15,6 @@ when it fails.  A deliberately weakened negative-control variant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -69,49 +68,6 @@ def _joint_support(facts, F, G):
     return out
 
 
-def _order_reversing_mask(S, W):
-    ok = np.ones(W.shape[0], dtype=bool)
-    for i, j in sorted(S.leq):
-        if i != j:
-            ok &= W[:, i] >= W[:, j]
-    return ok
-
-
-def _one_sided_ideal_mask(S, W, side):
-    """Rows with f(x g y) >= f(x) (right ideals) or >= f(y) (left ideals)."""
-    ok = _order_reversing_mask(S, W)
-    for x in range(S.n):
-        for g in range(S.m):
-            row = S.table[x][g]
-            for y in range(S.n):
-                ok &= W[:, row[y]] >= W[:, x if side == "right" else y]
-    return ok
-
-
-def _bi_ideal_mask(S, W):
-    ok = _order_reversing_mask(S, W)
-    for x in range(S.n):
-        for g in range(S.m):
-            for y in range(S.n):
-                xy = S.table[x][g][y]
-                for mu in range(S.m):
-                    row = S.table[xy][mu]
-                    for z in range(S.n):
-                        ok &= W[:, row[z]] >= np.minimum(W[:, x], W[:, z])
-    return ok
-
-
-_MASKS = {"order_reversing": _order_reversing_mask,
-          "right": partial(_one_sided_ideal_mask, side="right"),
-          "left": partial(_one_sided_ideal_mask, side="left"),
-          "bi": _bi_ideal_mask}
-
-_PREDICATES = {"order_reversing": fuzzy.is_order_reversing,
-               "right": fuzzy.is_fuzzy_right_ideal,
-               "left": fuzzy.is_fuzzy_left_ideal,
-               "bi": fuzzy.is_fuzzy_bi_ideal}
-
-
 class _Calculus:
     """What both calculi share: the structure, its factorizations, the
     constant one, and the element classes a statement may be made at."""
@@ -156,7 +112,12 @@ class _Kernels(_Calculus):
         return out
 
     def ideal(self, name, F):
-        return _MASKS[name](self.S, F)
+        """Rows of F meeting every inequality of ``fuzzy.ideal_inequalities``;
+        one column comparison at a time, so memory stays O(rows)."""
+        ok = np.ones(F.shape[0], dtype=bool)
+        for t, x, z in fuzzy.ideal_inequalities(self.S, name):
+            ok &= F[:, t] >= np.minimum(F[:, x], F[:, z])
+        return ok
 
 
 class _Scalar(_Calculus):
@@ -168,7 +129,7 @@ class _Scalar(_Calculus):
             fuzzy.compose(FuzzySubset(S, f), FuzzySubset(S, g)).values)
 
     def ideal(self, name, f):
-        return _PREDICATES[name](FuzzySubset(self.S, f))
+        return fuzzy.satisfies(FuzzySubset(self.S, f), name)
 
 
 def _support_representatives(X):
@@ -317,7 +278,7 @@ class _Context:
             extra += [fuzzy.generated_fuzzy_ideal(
                 fuzzy.point_characteristic(S, a), role).values
                 for a in range(S.n)]
-            arr = np.concatenate([self.W[_MASKS[role](S, self.W)],
+            arr = np.concatenate([self.W[self.calc.ideal(role, self.W)],
                                   np.array(extra, dtype=float)])
         self._roles[role] = arr
         return arr
@@ -443,7 +404,7 @@ def _char_bridge(S, A, sides):
     fa = fuzzy.characteristic(S, A)
     for side in sides:
         crisp = ideals.is_ideal(S, A, side)
-        fz = _PREDICATES[side](fa)
+        fz = fuzzy.satisfies(fa, side)
         if crisp != fz:
             return {"law": "char_bridge", "side": side,
                     "A": sorted(S.elements[i] for i in A), "crisp": crisp,
@@ -667,8 +628,12 @@ def _count_violations(calc, law: Law, F, G) -> int:
     return total
 
 
+# Draws per batch; the batch size fixes the order of the draws.
+_CHUNK = 20_000
+
+
 def cross_validate_random(S: GammaStructure, samples: int = 100_000,
-                          seed: int = 0, chunk: int = 20_000) -> list[dict]:
+                          seed: int = 0) -> list[dict]:
     """Seeded real-valued (f, g) search over every registry statement.
 
     Returns violation records; on a valid structure the list is empty, which
@@ -685,8 +650,8 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
             and all(calc.elements(name).all()
                     for name in (law.hypothesis, law.iff) if name)]
     violations: list[dict] = []
-    for start in range(0, samples, chunk):
-        k = min(chunk, samples - start)
+    for start in range(0, samples, _CHUNK):
+        k = min(_CHUNK, samples - start)
         F = rng.random((k, S.n))
         G = rng.random((k, S.n))
         # random values are almost surely nonzero, so the support laws also

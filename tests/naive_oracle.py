@@ -4,7 +4,8 @@ Deliberately naive: every table in the full cell space is filtered by a
 complete associativity scan, every relation on the carrier by the poset
 axioms and two-sided compatibility, and isomorphism is decided by explicit
 permutation search.  The four regularity classes are tested element by
-element with one loop per quantifier.  Nothing here shares code with the
+element, and the fuzzy ideal predicates membership vector by membership
+vector, with one loop per quantifier.  Nothing here shares code with the
 program beyond the raw data layout.
 
 Runnable as a script to print counts:  python3 tests/naive_oracle.py
@@ -139,6 +140,63 @@ NAIVE_CLASSES = {
     "intra_regular": naive_intra_regular,
     "right_regular": naive_right_regular,
     "left_regular": naive_left_regular,
+}
+
+
+# --- fuzzy ideal predicates ---------------------------------------------
+# One test per predicate on a membership vector v, written out from its
+# definition: v reverses the order, and v(x γ y) >= v(x) (right ideal),
+# v(x γ y) >= v(y) (left ideal) or v((x γ y) μ z) >= min(v(x), v(z))
+# (bi-ideal, over all pairs of operations).
+
+def naive_order_reversing(n: int, m: int, table, leq, v) -> bool:
+    for i in range(n):
+        for j in range(n):
+            if (i, j) in leq and v[i] < v[j]:
+                return False
+    return True
+
+
+def naive_right_ideal(n: int, m: int, table, leq, v) -> bool:
+    if not naive_order_reversing(n, m, table, leq, v):
+        return False
+    for x in range(n):
+        for g in range(m):
+            for y in range(n):
+                if v[table[x][g][y]] < v[x]:
+                    return False
+    return True
+
+
+def naive_left_ideal(n: int, m: int, table, leq, v) -> bool:
+    if not naive_order_reversing(n, m, table, leq, v):
+        return False
+    for x in range(n):
+        for g in range(m):
+            for y in range(n):
+                if v[table[x][g][y]] < v[y]:
+                    return False
+    return True
+
+
+def naive_bi_ideal(n: int, m: int, table, leq, v) -> bool:
+    if not naive_order_reversing(n, m, table, leq, v):
+        return False
+    for x in range(n):
+        for g in range(m):
+            for y in range(n):
+                for mu in range(m):
+                    for z in range(n):
+                        if v[table[table[x][g][y]][mu][z]] < min(v[x], v[z]):
+                            return False
+    return True
+
+
+NAIVE_FUZZY_IDEALS = {
+    "order_reversing": naive_order_reversing,
+    "right": naive_right_ideal,
+    "left": naive_left_ideal,
+    "bi": naive_bi_ideal,
 }
 
 

@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzygamma import serialize
+from fuzzygamma import enumeration, serialize
 from fuzzygamma.cli import main
 from fuzzygamma.serialize import (CENSUS_SCHEMA, CLASSIFICATION_SCHEMA,
                                   REPORT_SCHEMA, structure_from_dict,
@@ -51,6 +51,18 @@ def test_validate_rejects_boolean_order_pair(tmp_path, capsys, order):
 
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
+
+
+def test_non_utf8_input_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    spath = write(tmp_path, "lz2.json", LZ2_DOC)
+    fpath = write(tmp_path, "f.json", {"a": 0.5, "b": 1.0})
+    for argv in (["validate", str(bad)], ["compose", spath, str(bad), fpath],
+                 ["compose", spath, fpath, str(bad)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_classify_lz2(tmp_path, capsys):
@@ -155,6 +167,19 @@ def test_enumerate_census(tmp_path, capsys):
     assert doc["total"] == 1
     assert all(c == 1 for c in doc["classes"].values())
     assert not doc["truncated"]
+
+
+def test_enumerate_unwritable_census(tmp_path, capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("enumerated before checking the census path")
+
+    monkeypatch.setattr(enumeration, "enumerate_structures", never)
+    for path in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["enumerate", "--n", "1", "--m", "1",
+                     "--census", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: cannot write")
+        assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_enumerate_truncation_flag(tmp_path, capsys):

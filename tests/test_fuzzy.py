@@ -1,10 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzygamma import fuzzy
+import naive_oracle
+from fuzzygamma import fuzzy, theorems
 from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
                               compose, constant_one, constant_zero,
                               default_battery, default_levels,
@@ -94,6 +96,27 @@ def test_bi_ideal_requires_associativity():
     assert not S.associative
     with pytest.raises(ValueError, match="associative"):
         is_fuzzy_bi_ideal(FuzzySubset(S, (0.5, 0.5)))
+
+
+def test_ideal_predicates_match_naive_oracle(labeled_pool, witness_corpus):
+    """Scalar predicates and numpy masks against loop-by-loop definitions,
+    on the default grid battery of every n<=2 labeled structure, a fixed
+    n=3 sample and the witness corpus."""
+    small = [S for S in labeled_pool if S.n <= 2]
+    sample = random.Random(11).sample([S for S in labeled_pool if S.n == 3],
+                                      24)
+    scalar = {"order_reversing": is_order_reversing,
+              "right": is_fuzzy_right_ideal, "left": is_fuzzy_left_ideal,
+              "bi": is_fuzzy_bi_ideal}
+    for S in small + sample + witness_corpus:
+        battery = list(enumerate_grid_battery(S, default_battery(S)))
+        W = np.array([f.values for f in battery])
+        kernels = theorems._Kernels(S)
+        for name, naive in naive_oracle.NAIVE_FUZZY_IDEALS.items():
+            expected = [naive(S.n, S.m, S.table, S.leq, f.values)
+                        for f in battery]
+            assert [scalar[name](f) for f in battery] == expected, (S, name)
+            assert kernels.ideal(name, W).tolist() == expected, (S, name)
 
 
 def test_quasi_ideal_examples(LZ2, NZ2):
