@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Exit codes: 0 success / all properties hold, 1 a property was refuted,
-2 bad input (unreadable or non-UTF-8 file, invalid structure, unknown
-theorem id, unwritable census path).
+2 bad input (unreadable or non-UTF-8 file, invalid JSON, invalid or
+non-associative structure, unknown theorem id, unwritable census path).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
@@ -50,8 +50,6 @@ def cmd_validate(args) -> int:
 
 def cmd_classify(args) -> int:
     S = _load_structure(args.path)
-    if not S.associative:
-        raise _InputError("classification requires an associative structure")
     report = ideals.classify(S)
     if args.json:
         print(json.dumps(serialize.classification_to_dict(report), indent=2))
@@ -82,14 +80,12 @@ def _build_battery(S, args):
 
 def cmd_check(args) -> int:
     S = _load_structure(args.path)
-    if not S.associative:
-        raise _InputError("law checks require an associative structure")
     battery = _build_battery(S, args)
     started = time.monotonic()
     if args.all:
         verdicts = theorems.check_all(S, battery)
     else:
-        if args.theorem not in theorems.known_ids():
+        if args.theorem not in theorems.LAWS:
             raise _InputError(f"unknown theorem id {args.theorem!r}")
         verdicts = [theorems.check(S, args.theorem, battery)]
     elapsed = time.monotonic() - started
@@ -117,7 +113,7 @@ def cmd_compose(args) -> int:
     S = _load_structure(args.path)
     f = serialize.fuzzy_from_dict(S, _load_json(args.f))
     g = serialize.fuzzy_from_dict(S, _load_json(args.g))
-    print(json.dumps(serialize.fuzzy_to_dict(fuzzy.compose(f, g))))
+    print(json.dumps(fuzzy.compose(f, g).to_dict()))
     return 0
 
 
@@ -207,10 +203,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except StructureError as exc:
+    except (_InputError, StructureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

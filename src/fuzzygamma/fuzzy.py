@@ -41,21 +41,6 @@ class FuzzySubset:
     def __call__(self, i: int) -> float:
         return self.values[i]
 
-    def at(self, label: str) -> float:
-        return self.values[self.structure.index(label)]
-
-    def compose(self, other: "FuzzySubset") -> "FuzzySubset":
-        return compose(self, other)
-
-    def meet(self, other: "FuzzySubset") -> "FuzzySubset":
-        return meet(self, other)
-
-    def leq(self, other: "FuzzySubset") -> bool:
-        return leq(self, other)
-
-    def support(self) -> frozenset[int]:
-        return frozenset(i for i, v in enumerate(self.values) if v > 0.0)
-
     def to_dict(self) -> dict[str, float]:
         return dict(zip(self.structure.elements, self.values))
 

@@ -2,8 +2,8 @@
 
 Each class is stated once, as its word in :data:`CLASS_WORDS`: ``f``
 stands for the element a and ``1`` for a free element of M, so regular
-(``f1f``) reads a <= a Γ M Γ a.  Three procedures read the word: the
-definitional element test, the positive-witness search and the fuzzy
+(``f1f``) reads a <= a Γ M Γ a.  Two procedures read the word: the
+witness search, which is the definitional element test, and the fuzzy
 decider.  The principal-ideal criterion (regular and intra-regular only)
 does not, and all procedures deciding a class must agree: disagreement is
 a fatal internal error, never a report state.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from . import fuzzy
-from .structure import (GammaStructure, chain_product, downward_closure,
-                        one_sided_product, principal_ideal, subset_product)
+from .structure import (GammaStructure, downward_closure, one_sided_product,
+                        principal_ideal, require_checkable, subset_product)
 
 CLASS_WORDS = {
     "regular": "f1f",          # a <= a Γ M Γ a
@@ -52,9 +52,7 @@ def all_subsets(S: GammaStructure):
 
 def in_class(S: GammaStructure, a: int, name: str) -> bool:
     """Definitional test: a lies below a product of its class's word."""
-    M = S.carrier()
-    return a in downward_closure(S, chain_product(
-        S, *({a} if c == "f" else M for c in CLASS_WORDS[name])))
+    return witness(S, a, name) is not None
 
 
 def ideal_criterion(S: GammaStructure, a: int, reverse: bool = False) -> bool:
@@ -155,10 +153,7 @@ class ClassificationReport:
 
 def classify(S: GammaStructure) -> ClassificationReport:
     """Run every applicable decider per class and assert agreement."""
-    if not S.associative:
-        raise ValueError("classification requires an associative structure")
-    if not S.compatible:
-        raise ValueError("classification requires an order-compatible structure")
+    require_checkable(S, "classification requires")
     classes = {}
     for name in CLASS_NAMES:
         verdicts = {dn: fn(S) for dn, fn in _DECIDERS[name].items()}

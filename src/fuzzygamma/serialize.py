@@ -105,10 +105,6 @@ def structure_from_dict(doc: dict, require_compat: bool = True) -> GammaStructur
                               order, require_compat=require_compat)
 
 
-def fuzzy_to_dict(f: FuzzySubset) -> dict[str, float]:
-    return f.to_dict()
-
-
 def fuzzy_from_dict(S: GammaStructure, doc: dict) -> FuzzySubset:
     if not isinstance(doc, dict):
         raise StructureError("fuzzy subset document must be a JSON object")

@@ -45,9 +45,6 @@ class GammaStructure:
     def m(self) -> int:
         return len(self.gammas)
 
-    def mul(self, x: int, g: int, y: int) -> int:
-        return self.table[x][g][y]
-
     def le(self, i: int, j: int) -> bool:
         return (i, j) in self.leq
 
@@ -191,6 +188,16 @@ def validate_structure(elements, gammas, table, order,
                           table_is_associative(table, n, m), compatible)
 
 
+def require_checkable(S: GammaStructure, task: str) -> None:
+    """Raise unless S is associative and its order compatible, as
+    classification and the law checks presuppose; ``task`` opens the
+    message, e.g. "law checks require"."""
+    for ok, kind in ((S.associative, "associative"),
+                     (S.compatible, "order-compatible")):
+        if not ok:
+            raise StructureError(f"{task} an {kind} structure")
+
+
 def is_associative(S: GammaStructure) -> bool:
     """Recompute associativity over all triples (the stored flag agrees)."""
     return table_is_associative(S.table, S.n, S.m)
@@ -231,15 +238,8 @@ def principal_ideal(S: GammaStructure, a: int, side: str) -> frozenset[int]:
     return downward_closure(S, {a} | one_sided_product(S, {a}, side))
 
 
-def chain_product(S: GammaStructure, *subsets) -> frozenset[int]:
-    """Left-to-right chained subset product of two or more subsets."""
-    acc = frozenset(subsets[0])
-    for nxt in subsets[1:]:
-        acc = subset_product(S, acc, nxt)
-    return acc
-
-
-@lru_cache(maxsize=None)
+# bounded, so streaming many structures does not keep every relation alive
+@lru_cache(maxsize=64)
 def factorizations(S: GammaStructure) -> tuple[frozenset[tuple[int, int]], ...]:
     """For each a, the deduplicated pairs (y, z) with a <= y*z for some op."""
     out = []

@@ -21,7 +21,8 @@ import numpy as np
 
 from . import enumeration, fuzzy, ideals
 from .fuzzy import FuzzySubset, GridBattery, default_battery
-from .structure import GammaStructure, factorizations
+from .structure import (GammaStructure, factorizations, principal_ideal,
+                        require_checkable)
 
 # Hypothesis-dropped variants: negative controls, never part of check_all.
 NEGATIVE_CONTROL_IDS = ("L8-unconditional",)
@@ -150,7 +151,7 @@ class Law:
     other kinds scan f over each role in turn, with that role's composition
     word from ``chain`` (one word, or one per role).  A role is "any",
     "right" or "left" (battery rows that are fuzzy one-sided ideals, plus
-    ideal augmentation) or "one" (the constant one).  ``run`` replaces the
+    the principal ideals) or "one" (the constant one).  ``run`` replaces the
     interpreter for the laws that are not battery statements.
     """
 
@@ -258,11 +259,13 @@ class _Context:
                               lambda X: ((X == 0) | (X == 1)).all(axis=1))
 
     def members(self, role: str) -> np.ndarray:
-        """Battery rows for a quantifier role, with ideal augmentation.
+        """Battery rows for a quantifier role.
 
-        Role-filtered rows come first (battery order), then characteristic
-        functions of every crisp ideal of the role's side, then the
-        generated fuzzy ideals of all point characteristics.
+        Role-filtered rows come first (battery order), then the
+        characteristic function of each principal ideal of the role's side,
+        which the filter may reject on a table that is not a Γ-semigroup.
+        Every 0/1 row is a battery row, and a crisp ideal's passes the
+        filter on any table (L11), so no other crisp rows are added.
         """
         if role in self._roles:
             return self._roles[role]
@@ -272,12 +275,8 @@ class _Context:
         elif role == "one":
             arr = np.ones((1, S.n))
         else:
-            extra = [[1.0 if i in A else 0.0 for i in range(S.n)]
-                     for A in ideals.all_subsets(S)
-                     if ideals.is_ideal(S, A, role)]
-            extra += [fuzzy.generated_fuzzy_ideal(
-                fuzzy.point_characteristic(S, a), role).values
-                for a in range(S.n)]
+            extra = [fuzzy.characteristic(
+                S, principal_ideal(S, a, role)).values for a in range(S.n)]
             arr = np.concatenate([self.W[self.calc.ideal(role, self.W)],
                                   np.array(extra, dtype=float)])
         self._roles[role] = arr
@@ -502,23 +501,12 @@ LAWS = {
 THEOREM_IDS = tuple(tid for tid in LAWS if tid not in NEGATIVE_CONTROL_IDS)
 
 
-def known_ids() -> tuple[str, ...]:
-    return THEOREM_IDS + NEGATIVE_CONTROL_IDS
-
-
-def _require_checkable(S: GammaStructure) -> None:
-    if not S.associative:
-        raise ValueError("law checks require an associative structure")
-    if not S.compatible:
-        raise ValueError("law checks require an order-compatible structure")
-
-
 def check(S: GammaStructure, theorem_id: str,
           battery: GridBattery | None = None,
           _ctx: _Context | None = None) -> TheoremVerdict:
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    _require_checkable(S)
+    require_checkable(S, "law checks require")
     if _ctx is None:
         battery = battery if battery is not None else default_battery(S)
         _ctx = _Context(S, battery)
@@ -532,7 +520,7 @@ def check(S: GammaStructure, theorem_id: str,
 def check_all(S: GammaStructure,
               battery: GridBattery | None = None) -> list[TheoremVerdict]:
     """Every registry law in registry order (negative controls excluded)."""
-    _require_checkable(S)
+    require_checkable(S, "law checks require")
     battery = battery if battery is not None else default_battery(S)
     ctx = _Context(S, battery)
     return [check(S, tid, _ctx=ctx) for tid in THEOREM_IDS]
@@ -640,7 +628,7 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
     certifies that the exhaustive grid battery missed nothing the random
     search can see.
     """
-    _require_checkable(S)
+    require_checkable(S, "law checks require")
     calc = _Kernels(S)
     rng = np.random.default_rng(seed)
     # a separate stream, so the strictly positive draws stay as they were

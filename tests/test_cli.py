@@ -4,7 +4,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzzygamma import enumeration, serialize
+from fuzzygamma import enumeration, ideals, serialize, theorems
 from fuzzygamma.cli import main
 from fuzzygamma.serialize import (CENSUS_SCHEMA, CLASSIFICATION_SCHEMA,
                                   REPORT_SCHEMA, structure_from_dict,
@@ -63,6 +63,32 @@ def test_non_utf8_input_exit_2(tmp_path, capsys):
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_deeply_nested_json_exit_2(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["validate", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep}: invalid JSON:")
+    assert "Traceback" not in err
+
+
+# x γ y = the other element of x: order-compatible, not associative
+SWAP2_DOC = {"elements": ["a", "b"], "gammas": ["g"],
+             "table": [[[1, 1]], [[0, 0]]], "order": []}
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["classify"], ideals.classify),
+    (["check", "--all"], theorems.check_all),
+])
+def test_non_associative_structure_exit_2(tmp_path, capsys, argv, run):
+    with pytest.raises(ValueError) as library:
+        run(structure_from_dict(SWAP2_DOC))
+    path = write(tmp_path, "swap2.json", SWAP2_DOC)
+    assert main(argv[:1] + [path] + argv[1:]) == 2
+    assert capsys.readouterr().err == f"error: {library.value}\n"
 
 
 def test_classify_lz2(tmp_path, capsys):

@@ -11,6 +11,7 @@ from fuzzygamma.fuzzy import characteristic, is_fuzzy_left_ideal, \
 from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
                                is_right_ideal, principal_left_ideal,
                                principal_right_ideal)
+from fuzzygamma.structure import factorizations
 
 DECIDERS = ideals._DECIDERS
 
@@ -166,6 +167,22 @@ def test_classify_matches_naive_oracle(labeled_pool):
                 for g, o in zip(gammas, operands[1:]):
                     product = S.table[product][g][o]
                 assert S.le(a, product)
+
+
+def test_in_class_matches_naive_oracle_on_the_corpus(witness_corpus):
+    # the corpus tables are mostly not associative, so the bracketing of
+    # each word's product is tested too
+    for S in witness_corpus:
+        for name, naive in naive_oracle.NAIVE_CLASSES.items():
+            for a in range(S.n):
+                assert ideals.in_class(S, a, name) == naive(
+                    S.n, S.m, S.table, S.leq, a), (S, name, a)
+
+
+def test_factorization_cache_stays_bounded_while_streaming():
+    for S in enumerate_structures(SearchSpec(3, 2)):
+        classify(S)
+    assert factorizations.cache_info().currsize <= 64
 
 
 def _report_sha256(structures):

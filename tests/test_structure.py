@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from fuzzygamma import (StructureError, downward_closure, factorizations,
                         is_associative, subset_product, validate_structure)
-from fuzzygamma.structure import chain_product, factorization_gamma
+from fuzzygamma.structure import factorization_gamma
 
 
 def test_t1_valid(T1):
@@ -119,12 +119,6 @@ def test_subset_product_monotone(LZ2):
                 for B in subsets:
                     assert (subset_product(S, A, B)
                             <= subset_product(S, A2, B))
-
-
-def test_chain_product_matches_nesting(NZ2):
-    M = NZ2.carrier()
-    assert chain_product(NZ2, {1}, M, {1}) == subset_product(
-        NZ2, subset_product(NZ2, {1}, M), {1})
 
 
 def test_factorizations_examples(T1, LZ2, NZ2):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import make_lz2, make_nz2, make_t1
-from fuzzygamma import theorems, validate_structure
-from fuzzygamma.fuzzy import (GridBattery, default_battery,
+from fuzzygamma import ideals, theorems, validate_structure
+from fuzzygamma.fuzzy import (GridBattery, characteristic, default_battery,
                               enumerate_grid_battery)
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
@@ -316,6 +316,33 @@ def test_level_cuts_are_crisp_rows_on_a_sampled_battery():
     # with b < c, the one-sided ideal roles keep only order-reversing rows
     battery = GridBattery(levels=8, mode="sampled", seed=5, samples=3000)
     _cuts_are_crisp_rows(theorems._Context(_null3([(1, 2)]), battery))
+
+
+def _crisp_ideals_are_role_rows(structures, battery):
+    # so appending the characteristic functions of crisp ideals to a role's
+    # rows would only repeat rows
+    for S in structures:
+        ctx = theorems._Context(S, battery(S))
+        for side in ("right", "left"):
+            rows = {tuple(r) for r in ctx.W[ctx.calc.ideal(side, ctx.W)]}
+            for A in ideals.all_subsets(S):
+                if ideals.is_ideal(S, A, side):
+                    assert characteristic(S, A).values in rows, (S, side, A)
+
+
+def test_crisp_ideals_are_role_rows_on_the_pool(labeled_pool):
+    _crisp_ideals_are_role_rows(labeled_pool, default_battery)
+
+
+def test_crisp_ideals_are_role_rows_on_the_corpus(witness_corpus):
+    _crisp_ideals_are_role_rows(witness_corpus, default_battery)
+
+
+def test_crisp_ideals_are_role_rows_on_a_sampled_battery(labeled_pool,
+                                                          witness_corpus):
+    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
+    _crisp_ideals_are_role_rows(labeled_pool + witness_corpus,
+                                lambda S: battery)
 
 
 def _screen_agrees(structures, battery):
