@@ -45,6 +45,15 @@ class FuzzySubset:
         return dict(zip(self.structure.elements, self.values))
 
 
+def _trusted(S: GammaStructure, values: tuple[float, ...]) -> FuzzySubset:
+    """A FuzzySubset without validation, for values already known to be
+    floats in [0, 1]: mins and maxes of validated memberships."""
+    f = object.__new__(FuzzySubset)
+    object.__setattr__(f, "structure", S)
+    object.__setattr__(f, "values", values)
+    return f
+
+
 def _require_same(f: FuzzySubset, g: FuzzySubset) -> None:
     if f.structure != g.structure:
         raise ValueError("fuzzy subsets bound to different structures")
@@ -63,7 +72,7 @@ def compose(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
             if w > best:
                 best = w
         vals.append(best)
-    return FuzzySubset(S, tuple(vals))
+    return _trusted(S, tuple(vals))
 
 
 def square(f: FuzzySubset) -> FuzzySubset:
@@ -97,8 +106,8 @@ def chain(word: str, f, compose, one):
 
 def meet(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
     _require_same(f, g)
-    return FuzzySubset(f.structure,
-                       tuple(min(a, b) for a, b in zip(f.values, g.values)))
+    return _trusted(f.structure,
+                    tuple(min(a, b) for a, b in zip(f.values, g.values)))
 
 
 def leq(f: FuzzySubset, g: FuzzySubset) -> bool:

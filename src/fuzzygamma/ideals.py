@@ -156,18 +156,17 @@ def classify(S: GammaStructure) -> ClassificationReport:
     require_checkable(S, "classification requires")
     classes = {}
     for name in CLASS_NAMES:
-        verdicts = {dn: fn(S) for dn, fn in _DECIDERS[name].items()}
+        # one witness search per element gives the definitional verdict,
+        # the witnesses and the failing element
+        found = [witness(S, a, name) for a in range(S.n)]
+        verdicts = {dn: None not in found if dn == "definitional" else fn(S)
+                    for dn, fn in _DECIDERS[name].items()}
         if len(set(verdicts.values())) > 1:
             raise DeciderDisagreement(
                 f"deciders disagree on class {name!r} for structure "
                 f"{S.digest()}: {verdicts}")
-        holds = next(iter(verdicts.values()))
-        if holds:
-            witnesses = tuple(witness(S, a, name) for a in range(S.n))
-            failing = None
-        else:
-            witnesses = ()
-            failing = next(S.elements[a] for a in range(S.n)
-                           if not in_class(S, a, name))
-        classes[name] = ClassVerdict(holds, verdicts, witnesses, failing)
+        holds = verdicts["definitional"]
+        failing = None if holds else S.elements[found.index(None)]
+        classes[name] = ClassVerdict(holds, verdicts,
+                                     tuple(found) if holds else (), failing)
     return ClassificationReport(S.digest(), classes)

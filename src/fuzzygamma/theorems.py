@@ -304,8 +304,33 @@ def _first_pair(calc, law: Law, F, G, direction: str | None = None):
     return None
 
 
-def _first_violation(ctx: _Context, law: Law, direction: str | None = None):
-    """The witness of the first battery row (or pair) where ``law`` fails."""
+def _locate_pair(ctx: _Context, law: Law, direction: str | None = None):
+    """The first (i, j, a, values) where a meet/composition law fails on
+    ``members`` rows F[i], G[j], found in two exact stages.
+
+    If f and g violate the law at a, so do f and the cut {g >= t}: at
+    t = min(f(a), g(a)) for meet above composition, at t = (f∘g)(a) for
+    composition above meet.  Every such cut is a crisp row of g's role, so
+    the first f row violating against those rows is the first f row with
+    any violating g; only that row is then scanned against every g.
+    """
+    F, G = map(ctx.members, law.roles)
+    hit = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]),
+                      direction)
+    if hit is None:
+        return None
+    i = hit[0]
+    _, j, a, values = _first_pair(ctx.calc, law, F[i:i + 1], G, direction)
+    return i, j, a, values
+
+
+def _first_violation(ctx: _Context, law: Law, direction: str | None = None,
+                     locate: bool = True):
+    """The witness of the first battery row (or pair) where ``law`` fails.
+
+    Without ``locate``, a meet/composition law's violation is reported as
+    ``{"law": ...}`` alone, as soon as the crisp screen finds one.
+    """
     S = ctx.S
     # past the forward clause, composition != meet means composition above
     # meet: the equality clause reports a compose_leq_meet violation
@@ -319,18 +344,21 @@ def _first_violation(ctx: _Context, law: Law, direction: str | None = None):
             # their supports, so the first violating row of either side is
             # its support pattern's first row: scan one row per pattern.
             rows = ctx.support_rows
+            hit = _first_pair(ctx.calc, law, *map(rows, law.roles),
+                              direction)
         elif _first_pair(ctx.calc, law, *map(ctx.crisp_rows, law.roles),
                          direction) is None:
             # A meet/composition comparison that fails at level t fails on
             # the cuts {f >= t}, {g >= t}, and every cut of a role's row is
             # one of its crisp rows, so the law holds on the whole battery.
-            # (The equality clause runs past the forward one, where
-            # composition != meet means composition above meet.)
             return None
-        F, G = (rows(role) for role in law.roles)
-        hit = _first_pair(ctx.calc, law, F, G, direction)
+        elif not locate:
+            return w
+        else:
+            hit = _locate_pair(ctx, law, direction)
         if hit is None:
             return None
+        F, G = map(rows, law.roles)
         i, j, a, values = hit
         w.update(f=ctx.row_dict(F[i]), g=ctx.row_dict(G[j]),
                  element=S.elements[a])
@@ -368,12 +396,13 @@ def _scan(ctx: _Context, law: Law):
         return True, True, None
     if law.at and not ctx.calc.elements(law.at).any():
         return True, True, None
-    witness = _first_violation(ctx, law)
     if law.iff is None:
+        witness = _first_violation(ctx, law)
         return witness is None, False, witness
     in_class = ctx.calc.elements(law.iff)
     if not in_class.all():
-        if witness is not None:
+        # off its class the statement must fail somewhere; where is not kept
+        if _first_violation(ctx, law, locate=False) is not None:
             return True, False, None
         return False, False, {
             "law": "class_mismatch", "class": law.iff,
@@ -381,6 +410,7 @@ def _scan(ctx: _Context, law: Law):
             "criterion_kind": f"chain:{law.chain}" if law.chain else law.kind,
             "failing_element": ctx.S.elements[in_class.argmin()]}
     direction = "forward"
+    witness = _first_violation(ctx, law)
     if witness is None and law.equality:
         direction = "equality"
         witness = _first_violation(ctx, law, direction)

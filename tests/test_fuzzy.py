@@ -33,6 +33,18 @@ def test_membership_bounds_enforced(LZ2):
         FuzzySubset(LZ2, (0.5,))
 
 
+def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
+    # the results skip the validation of public construction, which
+    # test_membership_bounds_enforced shows still raises
+    for S in (LZ2, NZ2):
+        rows = [FuzzySubset(S, v) for v in itertools.product(
+            (0, 0.25, 1), repeat=S.n)]
+        for f, g in itertools.product(rows, repeat=2):
+            for h in (compose(f, g), meet(f, g)):
+                assert h == FuzzySubset(S, h.values)
+                assert all(type(v) is float for v in h.values)
+
+
 def test_compose_requires_same_structure(LZ2, NZ2):
     with pytest.raises(ValueError, match="different structures"):
         compose(FuzzySubset(LZ2, (0.5, 1.0)), FuzzySubset(NZ2, (0.5, 1.0)))

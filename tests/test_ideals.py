@@ -185,6 +185,21 @@ def test_factorization_cache_stays_bounded_while_streaming():
     assert factorizations.cache_info().currsize <= 64
 
 
+def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
+    calls = []
+    search = ideals.witness
+
+    def counted(S, a, name):
+        calls.append((a, name))
+        return search(S, a, name)
+
+    monkeypatch.setattr(ideals, "witness", counted)
+    for S in labeled_pool:
+        calls.clear()
+        classify(S)
+        assert len(calls) == len(set(calls)) == 4 * S.n, S
+
+
 def _report_sha256(structures):
     sha = hashlib.sha256()
     for S in structures:

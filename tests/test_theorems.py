@@ -346,6 +346,9 @@ def test_crisp_ideals_are_role_rows_on_a_sampled_battery(labeled_pool,
 
 
 def _screen_agrees(structures, battery):
+    # the crisp screen finds a violation exactly when the full scan does,
+    # and the two-stage locator finds the full scan's (i, j, a, values)
+    hits = 0
     for S in structures:
         ctx = theorems._Context(S, battery(S))
         for tid, direction in PAIR_SCANS:
@@ -357,6 +360,10 @@ def _screen_agrees(structures, battery):
                                          *map(ctx.crisp_rows, law.roles),
                                          direction)
             assert (crisp is None) == (full is None), (S, tid, direction)
+            located = theorems._locate_pair(ctx, law, direction)
+            assert located == full, (S, tid, direction)
+            hits += full is not None
+    assert hits
 
 
 def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
@@ -367,6 +374,31 @@ def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
 
 def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
     _screen_agrees(witness_corpus, default_battery)
+
+
+def _verdicts_sha256(structures):
+    digest = hashlib.sha256()
+    for S in structures:
+        for v in check_all(S) + [check(S, "L8-unconditional")]:
+            digest.update(json.dumps(v.to_dict()).encode())
+    return digest.hexdigest()
+
+
+def test_pool_verdicts_pinned(labeled_pool):
+    assert _verdicts_sha256(labeled_pool) == (
+        "3640c2a3a98c7b426d799e5e493a081fd530c0bc2bd4f46dc9f8168b4d832dd3")
+
+
+def test_n4_verdicts_pinned():
+    # a regular band (a and c left zeros, b and d left identities) and the
+    # non-regular null semigroup with b < c < d, both on the 10^4-row battery
+    elements = ["a", "b", "c", "d"]
+    band = validate_structure(elements, ["g"], [
+        [[0, 0, 0, 0]], [[0, 1, 2, 3]], [[2, 2, 2, 2]], [[0, 1, 2, 3]]], [])
+    null = validate_structure(elements, ["g"], [[[0, 0, 0, 0]]] * 4,
+                              [(1, 2), (1, 3), (2, 3)])
+    assert _verdicts_sha256([band, null]) == (
+        "5731dcc2a8be8c4a06f601c25754a964ac92a351d96e5ec0dc4cbc7b4cf5ada8")
 
 
 def _halving_kernel(facts, F, G):
