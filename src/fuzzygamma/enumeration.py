@@ -1,10 +1,12 @@
 """Exhaustive generation of small ordered gamma-semigroups.
 
-Tables are filled cell by cell in row-major order with associativity-pruned
-backtracking.  The labeled posets on n elements (OEIS A001035) are listed
+Tables are filled cell by cell in row-major order by backtracking, which
+after each assignment checks only the associativity instances that read
+the new cell.  The labeled posets on n elements (OEIS A001035) are listed
 once per n and filtered per table for two-sided compatibility.  Isomorphism
-reduction is a brute-force search over element and operation relabelings,
-adequate at the configured caps.
+reduction visits every element and operation relabeling, adequate at the
+configured caps, and drops each one at its first cell that exceeds the
+least table found so far.
 """
 
 from __future__ import annotations
@@ -39,29 +41,57 @@ class SearchSpec:
 
 
 def enumerate_tables(n: int, m: int):
-    """All fully associative tables, lexicographic in row-major cell order."""
-    SearchSpec(n=n, m=m)  # raises past the search caps
-    cells = [(x, g, y) for x in range(n) for g in range(m) for y in range(n)]
-    triples = [(x, g, y, mu, z)
-               for x in range(n) for g in range(m) for y in range(n)
-               for mu in range(m) for z in range(n)]
-    table = [[[-1] * n for _ in range(m)] for _ in range(n)]
+    """All fully associative tables, lexicographic in row-major cell order.
 
-    def consistent() -> bool:
-        # prune on every fully determined associativity instance
-        for x, g, y, mu, z in triples:
-            xy = table[x][g][y]
-            if xy < 0:
+    After each cell assignment only the associativity instances that read
+    the new cell are checked: the earlier state was consistent, so every
+    instance that has just become fully determined contains it.
+    """
+    SearchSpec(n=n, m=m)  # raises past the search caps
+    N, M = range(n), range(m)
+    cells = [(x, g, y) for x in N for g in M for y in N]
+    table = [[[-1] * n for _ in M] for _ in N]
+
+    def consistent_at(x: int, g: int, y: int) -> bool:
+        # each instance reads (a γ b) μ c == a γ (b μ c); here v = x g y
+        v = table[x][g][y]
+        Txg, Tv = table[x][g], table[v]
+        for mu in M:  # as a γ b: (x g y) μ c == x g (y μ c)
+            Tymu, Tvmu = table[y][mu], Tv[mu]
+            for c in N:
+                yc = Tymu[c]
+                if yc >= 0:
+                    left, right = Tvmu[c], Txg[yc]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        for a in N:
+            Ta = table[a]
+            for gam in M:
+                Tagam = Ta[gam]
+                ax = Tagam[x]  # as b μ c: (a γ x) g y == a γ v
+                if ax >= 0:
+                    left, right = table[ax][g][y], Tagam[v]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+                for b in N:  # as the outer left product, a γ b == x
+                    if Tagam[b] == x:
+                        by = table[b][g][y]
+                        if by >= 0:
+                            right = Tagam[by]
+                            if right >= 0 and right != v:
+                                return False
+        for b in N:  # as the outer right product, b μ c == y
+            xb = Txg[b]
+            if xb < 0:
                 continue
-            yz = table[y][mu][z]
-            if yz < 0:
-                continue
-            left = table[xy][mu][z]
-            right = table[x][g][yz]
-            if left < 0 or right < 0:
-                continue
-            if left != right:
-                return False
+            Tb, Txb = table[b], table[xb]
+            for mu in M:
+                Tbmu, Txbmu = Tb[mu], Txb[mu]
+                for c in N:
+                    if Tbmu[c] == y:
+                        left = Txbmu[c]
+                        if left >= 0 and left != v:
+                            return False
         return True
 
     def fill(i: int):
@@ -69,9 +99,9 @@ def enumerate_tables(n: int, m: int):
             yield tuple(tuple(tuple(row) for row in plane) for plane in table)
             return
         x, g, y = cells[i]
-        for v in range(n):
+        for v in N:
             table[x][g][y] = v
-            if consistent():
+            if consistent_at(x, g, y):
                 yield from fill(i + 1)
         table[x][g][y] = -1
 
@@ -114,11 +144,41 @@ def _encoding(n: int, m: int, table, leq, elems=None, ops=None):
     return flat, tuple(sorted((rank[i], rank[j]) for i, j in leq))
 
 
+def _relabeled_sign(table, rank, elems, ops, flat) -> int:
+    """-1, 0 or 1 as the relabeled flat table is below, equal to or above
+    ``flat``, decided at the first cell where they differ."""
+    k = 0
+    for x in elems:
+        Tx = table[x]
+        for g in ops:
+            Txg = Tx[g]
+            for y in elems:
+                c = rank[Txg[y]]
+                if c != flat[k]:
+                    return -1 if c < flat[k] else 1
+                k += 1
+    return 0
+
+
 def canonical_encoding(n: int, m: int, table, leq):
-    """Lexicographically least encoding over all relabelings."""
-    return min(_encoding(n, m, table, leq, elems, ops)
-               for elems in itertools.permutations(range(n))
-               for ops in itertools.permutations(range(m)))
+    """Lexicographically least encoding over all relabelings.
+
+    Each relabeling's flat table is built cell by cell and dropped at its
+    first cell that exceeds the least flat table found so far.
+    """
+    best = _encoding(n, m, table, leq)
+    for elems in itertools.permutations(range(n)):
+        rank = [0] * n
+        for i, x in enumerate(elems):
+            rank[x] = i
+        for ops in itertools.permutations(range(m)):
+            sign = _relabeled_sign(table, rank, elems, ops, best[0])
+            if sign < 0:
+                best = _encoding(n, m, table, leq, elems, ops)
+            elif sign == 0:  # the flat tables tie, so the order decides
+                order = tuple(sorted((rank[i], rank[j]) for i, j in leq))
+                best = min(best, (best[0], order))
+    return best
 
 
 def canonical_form(S: GammaStructure):

@@ -55,7 +55,8 @@ def _trusted(S: GammaStructure, values: tuple[float, ...]) -> FuzzySubset:
 
 
 def _require_same(f: FuzzySubset, g: FuzzySubset) -> None:
-    if f.structure != g.structure:
+    # identity first: comparing equal structures field by field is costly
+    if f.structure is not g.structure and f.structure != g.structure:
         raise ValueError("fuzzy subsets bound to different structures")
 
 
@@ -63,12 +64,14 @@ def compose(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
     """Sup-min composition: sup over factorizations of a of min(f(y), g(z))."""
     _require_same(f, g)
     S = f.structure
-    facts = factorizations(S)
+    fv, gv = f.values, g.values
     vals = []
-    for a in range(S.n):
+    for pairs in factorizations(S):
         best = 0.0
-        for y, z in facts[a]:
-            w = min(f.values[y], g.values[z])
+        for y, z in pairs:
+            w, u = fv[y], gv[z]
+            if u < w:
+                w = u
             if w > best:
                 best = w
         vals.append(best)

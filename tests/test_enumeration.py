@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import pytest
 
@@ -23,6 +24,60 @@ def test_table_counts_vs_naive():
         naive = naive_oracle.naive_tables(n, m)
         assert len(pruned) == len(naive)
         assert set(pruned) == set(naive)
+
+
+def _full_rescan_tables(n, m):
+    """Reference search: after each cell, rescan every associativity
+    instance that is fully determined."""
+    cells = [(x, g, y) for x in range(n) for g in range(m) for y in range(n)]
+    table = [[[-1] * n for _ in range(m)] for _ in range(n)]
+
+    def consistent():
+        for x, g, y, mu, z in itertools.product(range(n), range(m), range(n),
+                                                range(m), range(n)):
+            xy, yz = table[x][g][y], table[y][mu][z]
+            if xy < 0 or yz < 0:
+                continue
+            left, right = table[xy][mu][z], table[x][g][yz]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+        return True
+
+    def fill(i):
+        if i == len(cells):
+            yield tuple(tuple(tuple(row) for row in plane) for plane in table)
+            return
+        x, g, y = cells[i]
+        for v in range(n):
+            table[x][g][y] = v
+            if consistent():
+                yield from fill(i + 1)
+        table[x][g][y] = -1
+
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (4, 1)])
+def test_tables_match_full_rescan(n, m):
+    assert list(enumerate_tables(n, m)) == list(_full_rescan_tables(n, m))
+
+
+def _brute_canonical_encoding(n, m, table, leq):
+    """Reference: the least full encoding over all relabelings."""
+    return min(enumeration._encoding(n, m, table, leq, elems, ops)
+               for elems in itertools.permutations(range(n))
+               for ops in itertools.permutations(range(m)))
+
+
+def test_canonical_encoding_matches_brute_force():
+    for table in enumerate_tables(3, 2):
+        for leq in enumerate_orders(3, table):
+            assert (enumeration.canonical_encoding(3, 2, table, leq)
+                    == _brute_canonical_encoding(3, 2, table, leq))
+    discrete = frozenset((i, i) for i in range(4))
+    for table in enumerate_tables(4, 1):
+        assert (enumeration.canonical_encoding(4, 1, table, discrete)
+                == _brute_canonical_encoding(4, 1, table, discrete))
 
 
 def test_known_table_counts():
@@ -57,12 +112,16 @@ def test_oeis_poset_counts(n, posets):
 
 
 # sha256 (first 32 hex digits) of each emitted structure's
-# repr((elements, gammas, table, sorted(leq))), concatenated in stream order
+# repr((elements, gammas, table, sorted(leq))), concatenated in stream order;
+# the (3,2) and (3,3) up-to-iso pins are the benchmark's census legs
 @pytest.mark.parametrize("spec, count, digest", [
     (SearchSpec(n=3, m=2, up_to_iso=True), 371,
      "c002de93d24a3eab7d07767d0c3fd444"),
     (SearchSpec(n=4, m=1, limit=2000), 2000,
      "7e536f0ba583f78e2af948f2cd881bc0"),
+    (SearchSpec(n=3, m=2), 3203, "5b4ea6a0c27e3d0ddca3e1af4716a0c0"),
+    (SearchSpec(n=3, m=3, up_to_iso=True), 634,
+     "5704bb010ed1c3fc26c31ed9415f3ee0"),
 ])
 def test_emitted_stream_pinned(spec, count, digest):
     sha = hashlib.sha256()

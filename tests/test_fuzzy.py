@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -19,7 +20,8 @@ from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
                               is_fuzzy_right_ideal_via_composition,
                               is_order_reversing, leq, meet,
                               point_characteristic, square)
-from fuzzygamma.structure import downward_closure, subset_product
+from fuzzygamma.structure import (downward_closure, factorizations,
+                                  subset_product)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -48,6 +50,28 @@ def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
 def test_compose_requires_same_structure(LZ2, NZ2):
     with pytest.raises(ValueError, match="different structures"):
         compose(FuzzySubset(LZ2, (0.5, 1.0)), FuzzySubset(NZ2, (0.5, 1.0)))
+
+
+def test_compose_accepts_equal_distinct_structures(LZ2):
+    twin = dataclasses.replace(LZ2)
+    assert twin == LZ2 and twin is not LZ2
+    h = compose(FuzzySubset(LZ2, (0.5, 1.0)), FuzzySubset(twin, (0.25, 0.75)))
+    assert h.values == (0.5, 0.75)
+
+
+def test_compose_matches_definition(labeled_pool):
+    rng = random.Random(11)
+    levels = fuzzy.grid_levels(5)
+    for S in labeled_pool:
+        if S.n > 2:
+            continue
+        facts = factorizations(S)
+        rows = [FuzzySubset(S, [rng.choice(levels) for _ in range(S.n)])
+                for _ in range(12)]
+        for f, g in itertools.product(rows, repeat=2):
+            assert compose(f, g).values == tuple(
+                max((min(f(y), g(z)) for y, z in facts[a]), default=0.0)
+                for a in range(S.n))
 
 
 def test_compose_examples(T1, LZ2, NZ2):
