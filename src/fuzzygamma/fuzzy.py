@@ -46,8 +46,9 @@ class FuzzySubset:
 
 
 def _trusted(S: GammaStructure, values: tuple[float, ...]) -> FuzzySubset:
-    """A FuzzySubset without validation, for values already known to be
-    floats in [0, 1]: mins and maxes of validated memberships."""
+    """A FuzzySubset without validation, for values this module builds and
+    knows to be floats in [0, 1]: constants, grid levels, random draws, and
+    mins and maxes of validated memberships."""
     f = object.__new__(FuzzySubset)
     object.__setattr__(f, "structure", S)
     object.__setattr__(f, "values", values)
@@ -119,17 +120,17 @@ def leq(f: FuzzySubset, g: FuzzySubset) -> bool:
 
 
 def constant_one(S: GammaStructure) -> FuzzySubset:
-    return FuzzySubset(S, (1.0,) * S.n)
+    return _trusted(S, (1.0,) * S.n)
 
 
 def constant_zero(S: GammaStructure) -> FuzzySubset:
-    return FuzzySubset(S, (0.0,) * S.n)
+    return _trusted(S, (0.0,) * S.n)
 
 
 def characteristic(S: GammaStructure, subset) -> FuzzySubset:
     subset = frozenset(subset)
-    return FuzzySubset(S, tuple(1.0 if i in subset else 0.0
-                                for i in range(S.n)))
+    return _trusted(S, tuple(1.0 if i in subset else 0.0
+                             for i in range(S.n)))
 
 
 def point_characteristic(S: GammaStructure, a: int) -> FuzzySubset:
@@ -216,7 +217,7 @@ def generated_fuzzy_ideal(f: FuzzySubset, side: str) -> FuzzySubset:
     """Pointwise-least fuzzy one-sided ideal lying above f (associative case)."""
     S = f.structure
     principal = [principal_ideal(S, t, side) for t in range(S.n)]
-    return FuzzySubset(S, tuple(
+    return _trusted(S, tuple(
         max(f.values[t] for t in range(S.n) if x in principal[t])
         for x in range(S.n)))
 
@@ -243,7 +244,6 @@ class GridBattery:
     mode: str = "exhaustive"
     seed: int | None = None
     samples: int = SAMPLED_COUNT
-    cap: int = GRID_CAP
 
     def __post_init__(self):
         if self.levels < 2:
@@ -280,7 +280,7 @@ def default_battery(S: GammaStructure, levels: int | None = None,
 
 
 def require_within_cap(S: GammaStructure, battery: GridBattery) -> None:
-    if battery.levels ** S.n > battery.cap:
+    if battery.levels ** S.n > GRID_CAP:
         raise ValueError(
             "exhaustive battery exceeds the cap; switch to sampled mode")
 
@@ -291,11 +291,11 @@ def enumerate_grid_battery(S: GammaStructure, battery: GridBattery):
         require_within_cap(S, battery)
         lv = grid_levels(battery.levels)
         for combo in itertools.product(lv, repeat=S.n):
-            yield FuzzySubset(S, combo)
+            yield _trusted(S, combo)
         return
     rng = random.Random(battery.seed)
     for _ in range(battery.samples):
-        yield FuzzySubset(S, tuple(rng.random() for _ in range(S.n)))
+        yield _trusted(S, tuple(rng.random() for _ in range(S.n)))
     for bits in range(2 ** S.n):
         yield characteristic(S, {i for i in range(S.n) if bits >> i & 1})
     for a in range(S.n):

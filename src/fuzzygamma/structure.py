@@ -254,10 +254,3 @@ def factorizations(S: GammaStructure) -> tuple[frozenset[tuple[int, int]], ...]:
         out.append(frozenset(pairs))
     return tuple(out)
 
-
-def factorization_gamma(S: GammaStructure, a: int, y: int, z: int):
-    """Smallest operation index witnessing a <= y*z, or None."""
-    for g in range(S.m):
-        if S.le(a, S.table[y][g][z]):
-            return g
-    return None

@@ -15,6 +15,7 @@ when it fails.  A deliberately weakened negative-control variant
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -225,7 +226,6 @@ class _Context:
 
     def __init__(self, S: GammaStructure, battery: GridBattery):
         self.S = S
-        self.battery = battery
         self.calc = _Kernels(S)
         if battery.mode == "exhaustive":
             # every grid vector, in the order of itertools.product
@@ -281,6 +281,11 @@ class _Context:
                                   np.array(extra, dtype=float)])
         self._roles[role] = arr
         return arr
+
+
+# one entry: check_all and any check that follows it on the same structure
+# and battery share the context
+_context = lru_cache(maxsize=1)(_Context)
 
 
 def _first_true(bad) -> tuple[int, ...]:
@@ -532,19 +537,16 @@ THEOREM_IDS = tuple(tid for tid in LAWS if tid not in NEGATIVE_CONTROL_IDS)
 
 
 def check(S: GammaStructure, theorem_id: str,
-          battery: GridBattery | None = None,
-          _ctx: _Context | None = None) -> TheoremVerdict:
+          battery: GridBattery | None = None) -> TheoremVerdict:
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     require_checkable(S, "law checks require")
-    if _ctx is None:
-        battery = battery if battery is not None else default_battery(S)
-        _ctx = _Context(S, battery)
-    ok, vacuous, witness = _scan(_ctx, LAWS[theorem_id])
+    battery = battery if battery is not None else default_battery(S)
+    ok, vacuous, witness = _scan(_context(S, battery), LAWS[theorem_id])
     return TheoremVerdict(
         theorem=theorem_id, structure=S.digest(),
         outcome="holds" if ok else "refuted", vacuous=vacuous,
-        witness=witness, battery=_ctx.battery.describe(S))
+        witness=witness, battery=battery.describe(S))
 
 
 def check_all(S: GammaStructure,
@@ -552,8 +554,8 @@ def check_all(S: GammaStructure,
     """Every registry law in registry order (negative controls excluded)."""
     require_checkable(S, "law checks require")
     battery = battery if battery is not None else default_battery(S)
-    ctx = _Context(S, battery)
-    return [check(S, tid, _ctx=ctx) for tid in THEOREM_IDS]
+    _context(S, battery)  # built here, so each check below finds it cached
+    return [check(S, tid, battery) for tid in THEOREM_IDS]
 
 
 def find_counterexample(theorem_id: str, n_max: int, m_max: int,

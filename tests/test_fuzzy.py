@@ -35,6 +35,12 @@ def test_membership_bounds_enforced(LZ2):
         FuzzySubset(LZ2, (0.5,))
 
 
+def _revalidates(f):
+    """Whether f is what validated construction would build from its values."""
+    return (FuzzySubset(f.structure, f.values) == f
+            and all(type(v) is float for v in f.values))
+
+
 def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
     # the results skip the validation of public construction, which
     # test_membership_bounds_enforced shows still raises
@@ -43,8 +49,20 @@ def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
             (0, 0.25, 1), repeat=S.n)]
         for f, g in itertools.product(rows, repeat=2):
             for h in (compose(f, g), meet(f, g)):
-                assert h == FuzzySubset(S, h.values)
-                assert all(type(v) is float for v in h.values)
+                assert _revalidates(h)
+
+
+def test_trusted_constructors_build_valid_subsets(labeled_pool):
+    # these constructors skip validation too; a sampled battery holds its
+    # draws, every characteristic function and the generated point ideals
+    sampled = GridBattery(levels=4, mode="sampled", seed=5, samples=20)
+    for S in labeled_pool:
+        built = [constant_one(S), constant_zero(S),
+                 *enumerate_grid_battery(S, GridBattery(levels=4)),
+                 *enumerate_grid_battery(S, sampled)]
+        assert len(built) == 2 + 4 ** S.n + 20 + 2 ** S.n + 2 * S.n
+        for f in built:
+            assert _revalidates(f), (S, f)
 
 
 def test_compose_requires_same_structure(LZ2, NZ2):
@@ -222,7 +240,8 @@ def test_grid_battery_counts(T1, LZ2, NZ2):
 
 def test_grid_battery_cap(NZ2):
     with pytest.raises(ValueError, match="cap"):
-        list(enumerate_grid_battery(NZ2, GridBattery(levels=3, cap=5)))
+        # 1001^2 rows: past the cap, which is checked before any row is built
+        list(enumerate_grid_battery(NZ2, GridBattery(levels=1001)))
 
 
 def test_sampled_battery_needs_seed():

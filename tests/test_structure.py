@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from fuzzygamma import (StructureError, downward_closure, factorizations,
                         is_associative, subset_product, validate_structure)
-from fuzzygamma.structure import factorization_gamma
 
 
 def test_t1_valid(T1):
@@ -149,11 +148,6 @@ def test_factorizations_downward_transfer(NZ2):
                 assert facts[a] <= facts[a2]
 
 
-def test_factorization_gamma_recovery(LZ2):
-    assert factorization_gamma(LZ2, 0, 0, 1) == 0
-    assert factorization_gamma(LZ2, 1, 0, 1) is None
-
-
 def test_single_gamma_degenerates_to_plain_groupoid(LZ2):
     # with one operation the subset product is the plain one
     for A in ({0}, {1}, {0, 1}):
@@ -170,8 +164,13 @@ def test_downward_closure_idempotent_hypothesis(H):
     assert frozenset(H) <= cl
 
 
-def test_opposite_structure(LZ2):
+def test_opposite_structure(LZ2, labeled_pool):
     op = LZ2.opposite()
     # left-zero becomes right-zero
     assert op.table[0][0][1] == 1
     assert op.associative
+    # the mirror is built unvalidated: this is its check
+    for S in labeled_pool:
+        op = S.opposite()
+        assert op == validate_structure(op.elements, op.gammas, op.table,
+                                        sorted(op.leq))

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import make_lz2, make_nz2, make_t1
 from fuzzygamma import ideals, theorems, validate_structure
-from fuzzygamma.fuzzy import (GridBattery, characteristic, default_battery,
+from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
+                              compose, constant_one, default_battery,
                               enumerate_grid_battery)
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
@@ -148,9 +149,11 @@ def test_witness_corpus_replays_and_keeps_its_verdicts(witness_corpus,
     def no_kernels(*args):
         raise AssertionError("replay reached the numpy kernels")
 
-    # replay composes through the scalar calculus only
+    # replay composes through the scalar calculus only; a context cached by
+    # the checks above was built before the patch, so it is dropped
     monkeypatch.setattr(theorems, "_compose", no_kernels)
     monkeypatch.setattr(theorems, "_Kernels", no_kernels)
+    theorems._context.cache_clear()
     refuted, kinds = {}, set()
     for S, v in refutations:
         assert replay_witness(S, v), (S, v)
@@ -279,8 +282,49 @@ def test_context_sampled_battery_is_the_stream():
 
 
 def test_context_battery_cap():
+    # 1001^2 rows: past the cap, which is checked before any row is built
     with pytest.raises(ValueError, match="cap"):
-        theorems._Context(make_nz2(), GridBattery(levels=3, cap=5))
+        theorems._Context(make_nz2(), GridBattery(levels=1001))
+
+
+def test_context_built_once_per_structure_and_battery(monkeypatch):
+    built = []
+    init = theorems._Context.__init__
+
+    def counted(self, S, battery):
+        built.append((S, battery))
+        init(self, S, battery)
+
+    monkeypatch.setattr(theorems._Context, "__init__", counted)
+    theorems._context.cache_clear()
+    S = make_lz2()
+    check_all(S)
+    check(S, "L8-unconditional")
+    check(S, "L10", default_battery(S))
+    assert built == [(S, default_battery(S))]
+    check(S, "L10", GridBattery(levels=3))
+    check(make_nz2(), "L10")
+    check(make_nz2(), "L8-unconditional")
+    assert built[1:] == [(S, GridBattery(levels=3)),
+                         (make_nz2(), default_battery(make_nz2()))]
+
+
+def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
+    # the numpy compositions against the scalar oracle, on seeded
+    # fractional rows with some zeros, so supports vary too
+    rng = np.random.default_rng(5)
+    for S in labeled_pool + witness_corpus:
+        calc = theorems._Kernels(S)
+        F, G = (np.where(rng.random((4, S.n)) < 0.3, 0.0,
+                         rng.random((4, S.n))) for _ in range(2))
+        fs, gs = ([FuzzySubset(S, row) for row in X] for X in (F, G))
+        one = constant_one(S)
+        assert calc.compose(F[:, None], G[None]).tolist() == [
+            [list(compose(f, g).values) for g in gs] for f in fs], S
+        assert calc.compose(F, calc.one).tolist() == [
+            list(compose(f, one).values) for f in fs], S
+        assert calc.compose(calc.one, G).tolist() == [
+            list(compose(one, g).values) for g in gs], S
 
 
 # --- crisp-cut screen of the pair laws ----------------------------------
