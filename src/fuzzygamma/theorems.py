@@ -14,8 +14,9 @@ when it fails.  A deliberately weakened negative-control variant
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 from typing import Callable
 
 import numpy as np
@@ -47,26 +48,34 @@ class TheoremVerdict:
 # --- the two calculi ----------------------------------------------------
 # Rows are membership vectors stacked along leading axes that broadcast:
 # F[:, None] against G[None] gives every battery pair, two (k, n) stacks
-# give paired draws, and two (n,) vectors give one witness.
+# give paired draws, and two (n,) vectors give one witness.  ``facts[a]``
+# lists the factorizations (y, z) of a grouped by left factor,
+# ``((y, (z, ...)), ...)``, each ascending.
 
 def _compose(facts, F, G):
     """Sup-min composition of broadcast rows: out[..., a] is the max over
-    factorizations (y, z) of a of min(F[..., y], G[..., z])."""
+    factorizations (y, z) of a of min(F[..., y], G[..., z]), taken per left
+    factor y as min(F[..., y], max over z of G[..., z]).  Exact, since min
+    distributes over max and only selections happen; the constant one on
+    either side is just another row."""
     out = np.zeros(np.broadcast(F, G).shape)
-    for a, pairs in enumerate(facts):
+    for a, groups in enumerate(facts):
         col = out[..., a]
-        for y, z in pairs:
-            np.maximum(col, np.minimum(F[..., y], G[..., z]), out=col)
+        for y, zs in groups:
+            g = G[..., zs[0]]
+            for z in zs[1:]:
+                g = np.maximum(g, G[..., z])
+            np.maximum(col, np.minimum(F[..., y], g), out=col)
     return out
 
 
 def _joint_support(facts, F, G):
     """Whether some factorization (y, z) of a has f(y) > 0 and g(z) > 0."""
     out = np.zeros(np.broadcast(F, G).shape, dtype=bool)
-    for a, pairs in enumerate(facts):
+    for a, groups in enumerate(facts):
         col = out[..., a]
-        for y, z in pairs:
-            col |= (F[..., y] > 0) & (G[..., z] > 0)
+        for y, zs in groups:
+            col |= (F[..., y] > 0) & (G[..., zs] > 0).any(axis=-1)
     return out
 
 
@@ -76,7 +85,10 @@ class _Calculus:
 
     def __init__(self, S: GammaStructure):
         self.S = S
-        self.facts = factorizations(S)
+        self.facts = tuple(
+            tuple((y, tuple(z for _, z in group))
+                  for y, group in groupby(sorted(pairs), lambda p: p[0]))
+            for pairs in factorizations(S))
         self.one = np.ones(S.n)
         self._elements: dict[str, np.ndarray] = {}
 
@@ -90,28 +102,8 @@ class _Calculus:
 class _Kernels(_Calculus):
     """The numpy calculus, on stacks of rows."""
 
-    def __init__(self, S: GammaStructure):
-        super().__init__(S)
-        # the distinct left (0) and right (1) factors of each element
-        self._factors = tuple(
-            [sorted({pair[k] for pair in pairs}) for pairs in self.facts]
-            for k in (0, 1))
-
     def compose(self, F, G):
-        # with the constant one itself, a max over distinct factors will do
-        if G is self.one:
-            return self._with_one(F, 0)
-        if F is self.one:
-            return self._with_one(G, 1)
         return _compose(self.facts, F, G)
-
-    def _with_one(self, F, side):
-        out = np.zeros(F.shape)
-        for a, factors in enumerate(self._factors[side]):
-            col = out[..., a]
-            for y in factors:
-                np.maximum(col, F[..., y], out=col)
-        return out
 
     def ideal(self, name, F):
         """Rows of F meeting every inequality of ``fuzzy.ideal_inequalities``;
@@ -177,8 +169,14 @@ _PAIR_KINDS = ("meet_leq_compose", "compose_leq_meet", "support_iff")
 _LABEL_KEYS = {"pred_equiv": "predicate", "support_iff": "variant"}
 
 
-def _statement(law: Law, calc, F, G=None, role: str = "any",
-               direction: str | None = None):
+def _equality_clause(law: Law) -> Law:
+    """T13's equality clause.  It runs only after the forward clause (meet
+    below composition) held, where composition != meet means composition
+    above meet."""
+    return replace(law, kind="compose_leq_meet")
+
+
+def _statement(law: Law, calc, F, G=None, role: str = "any"):
     """Where ``law`` fails on rows F (and G): ``(bad, values)``.
 
     ``bad`` has the broadcast row axes, then the element axis (none for
@@ -191,10 +189,7 @@ def _statement(law: Law, calc, F, G=None, role: str = "any",
         return (C > 0) != _joint_support(calc.facts, F, G), ()
     if kind in _PAIR_KINDS:
         M, C = np.minimum(F, G), calc.compose(F, G)
-        if direction == "equality":
-            bad = C != M
-        else:
-            bad = M > C if kind == "meet_leq_compose" else C > M
+        bad = M > C if kind == "meet_leq_compose" else C > M
         return bad, (("meet", M), ("composition", C))
     if kind == "quasi_bound":
         X = np.minimum(calc.compose(F, calc.one), calc.compose(calc.one, F))
@@ -293,15 +288,14 @@ def _first_true(bad) -> tuple[int, ...]:
     return tuple(int(v) for v in np.unravel_index(bad.argmax(), bad.shape))
 
 
-def _first_pair(calc, law: Law, F, G, direction: str | None = None):
+def _first_pair(calc, law: Law, F, G):
     """First (i, j, a, values) where a pair law fails on rows F[i], G[j].
 
     Chunked over rows of F, so the pairwise cube never exceeds a few MB.
     """
     blk = max(1, 2_000_000 // max(1, G.shape[0] * G.shape[1]))
     for i0 in range(0, F.shape[0], blk):
-        bad, values = _statement(law, calc, F[i0:i0 + blk, None], G[None],
-                                 direction=direction)
+        bad, values = _statement(law, calc, F[i0:i0 + blk, None], G[None])
         if bad.any():
             i, j, a = _first_true(bad)
             return i0 + i, j, a, [(k, v[i, j, a].item()) for k, v in values]
@@ -309,7 +303,7 @@ def _first_pair(calc, law: Law, F, G, direction: str | None = None):
     return None
 
 
-def _locate_pair(ctx: _Context, law: Law, direction: str | None = None):
+def _locate_pair(ctx: _Context, law: Law):
     """The first (i, j, a, values) where a meet/composition law fails on
     ``members`` rows F[i], G[j], found in two exact stages.
 
@@ -320,26 +314,22 @@ def _locate_pair(ctx: _Context, law: Law, direction: str | None = None):
     any violating g; only that row is then scanned against every g.
     """
     F, G = map(ctx.members, law.roles)
-    hit = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]),
-                      direction)
+    hit = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]))
     if hit is None:
         return None
     i = hit[0]
-    _, j, a, values = _first_pair(ctx.calc, law, F[i:i + 1], G, direction)
+    _, j, a, values = _first_pair(ctx.calc, law, F[i:i + 1], G)
     return i, j, a, values
 
 
-def _first_violation(ctx: _Context, law: Law, direction: str | None = None,
-                     locate: bool = True):
+def _first_violation(ctx: _Context, law: Law, locate: bool = True):
     """The witness of the first battery row (or pair) where ``law`` fails.
 
     Without ``locate``, a meet/composition law's violation is reported as
     ``{"law": ...}`` alone, as soon as the crisp screen finds one.
     """
     S = ctx.S
-    # past the forward clause, composition != meet means composition above
-    # meet: the equality clause reports a compose_leq_meet violation
-    w = {"law": "compose_leq_meet" if direction == "equality" else law.kind}
+    w = {"law": law.kind}
     if law.label:
         w[_LABEL_KEYS[law.kind]] = law.label
     if law.kind in _PAIR_KINDS:
@@ -349,10 +339,9 @@ def _first_violation(ctx: _Context, law: Law, direction: str | None = None,
             # their supports, so the first violating row of either side is
             # its support pattern's first row: scan one row per pattern.
             rows = ctx.support_rows
-            hit = _first_pair(ctx.calc, law, *map(rows, law.roles),
-                              direction)
-        elif _first_pair(ctx.calc, law, *map(ctx.crisp_rows, law.roles),
-                         direction) is None:
+            hit = _first_pair(ctx.calc, law, *map(rows, law.roles))
+        elif _first_pair(ctx.calc, law,
+                         *map(ctx.crisp_rows, law.roles)) is None:
             # A meet/composition comparison that fails at level t fails on
             # the cuts {f >= t}, {g >= t}, and every cut of a role's row is
             # one of its crisp rows, so the law holds on the whole battery.
@@ -360,7 +349,7 @@ def _first_violation(ctx: _Context, law: Law, direction: str | None = None,
         elif not locate:
             return w
         else:
-            hit = _locate_pair(ctx, law, direction)
+            hit = _locate_pair(ctx, law)
         if hit is None:
             return None
         F, G = map(rows, law.roles)
@@ -414,14 +403,14 @@ def _scan(ctx: _Context, law: Law):
             "definitional": False, "criterion": True,
             "criterion_kind": f"chain:{law.chain}" if law.chain else law.kind,
             "failing_element": ctx.S.elements[in_class.argmin()]}
-    direction = "forward"
+    clause = "forward"
     witness = _first_violation(ctx, law)
     if witness is None and law.equality:
-        direction = "equality"
-        witness = _first_violation(ctx, law, direction)
+        clause = "equality"
+        witness = _first_violation(ctx, _equality_clause(law))
     if witness is None:
         return True, False, None
-    witness["theorem_direction"] = direction
+    witness["theorem_direction"] = clause
     return False, False, witness
 
 
@@ -599,14 +588,15 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
     if w["law"] == "point_square":
         return _point_square(S, S.index(w["a"]), [S.index(w["b"])]) is not None
     law = LAWS[verdict.theorem]
+    if w.get("theorem_direction") == "equality":
+        law = _equality_clause(law)
 
     def row(d):
         return np.array([float(d[lbl]) for lbl in S.elements])
 
     G = row(w["g"]) if "g" in w else None
     bad, _ = _statement(law, _Scalar(S), row(w["f"]), G,
-                        w.get("side", law.roles[0]),
-                        w.get("theorem_direction"))
+                        w.get("side", law.roles[0]))
     at = []
     if "element" in w:
         at.append(S.index(w["element"]))
@@ -633,14 +623,11 @@ def _count(mask, bad) -> int:
 
 
 def _count_violations(calc, law: Law, F, G) -> int:
-    """How often ``law`` fails on paired draws (forward direction only)."""
+    """How often ``law``'s statement fails on paired draws."""
     if law.kind in _PAIR_KINDS:
         (F, mf), (G, mg) = (_paired_rows(calc, role, X)
                             for role, X in zip(law.roles, (F, G)))
-        directions = (None, "equality") if law.equality else (None,)
-        return sum(_count(mf & mg, _statement(law, calc, F, G,
-                                              direction=d)[0])
-                   for d in directions)
+        return _count(mf & mg, _statement(law, calc, F, G)[0])
     total = 0
     for role in law.roles:
         X, mask = _paired_rows(calc, role, F)
@@ -680,6 +667,8 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         Gz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, G)
         for tid, law in laws:
             count = _count_violations(calc, law, F, G)
+            if law.equality:
+                count += _count_violations(calc, _equality_clause(law), F, G)
             if law.kind == "support_iff":
                 count += _count_violations(calc, law, Fz, Gz)
             if count:

@@ -9,6 +9,7 @@ from fuzzygamma import ideals, theorems, validate_structure
 from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
                               compose, constant_one, default_battery,
                               enumerate_grid_battery)
+from fuzzygamma.structure import factorizations
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
                                  find_counterexample, replay_witness)
@@ -176,14 +177,20 @@ def _left_zero3():
                               [[[0, 0, 0]], [[1, 1, 1]], [[2, 2, 2]]], [])
 
 
-def _full_support_scan(facts, F, G):
-    """Unquotiented reference: every row of F against every row of G."""
-    C = theorems._compose(facts, F[:, None], G[None]) > 0
-    E = np.zeros_like(C)
-    for a, pairs in enumerate(facts):
+def _support_definition(S, F, G):
+    """Whether some factorization (y, z) of a has F[i, y] > 0 and
+    G[j, z] > 0, pair by pair from ``factorizations``."""
+    E = np.zeros((F.shape[0], G.shape[0], S.n), dtype=bool)
+    for a, pairs in enumerate(factorizations(S)):
         for y, z in pairs:
             E[:, :, a] |= (F[:, y] > 0)[:, None] & (G[:, z] > 0)[None, :]
-    bad = C != E
+    return E
+
+
+def _full_support_scan(calc, F, G):
+    """Unquotiented reference: every row of F against every row of G."""
+    C = calc.compose(F[:, None], G[None]) > 0
+    bad = C != _support_definition(calc.S, F, G)
     if not bad.any():
         return None
     return tuple(int(v) for v in np.argwhere(bad)[0])
@@ -230,7 +237,7 @@ def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
     for tid in ("L17", "C18", "C19"):
         law = theorems.LAWS[tid]
         F, G = (ctx.members(role) for role in law.roles)
-        expected = _full_support_scan(ctx.calc.facts, F, G)
+        expected = _full_support_scan(ctx.calc, F, G)
         assert expected is not None
         i, j, a = expected
         Fq, Gq = (ctx.support_rows(role) for role in law.roles)
@@ -249,7 +256,7 @@ def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
     assert v.outcome == "refuted"
     ctx = theorems._Context(S, battery)
     W = ctx.members("any")
-    i, j, a = _full_support_scan(ctx.calc.facts, W, W)
+    i, j, a = _full_support_scan(ctx.calc, W, W)
     assert v.witness == {"law": "support_iff", "variant": "fg",
                          "f": ctx.row_dict(W[i]), "g": ctx.row_dict(W[j]),
                          "element": S.elements[a]}
@@ -311,12 +318,18 @@ def test_context_built_once_per_structure_and_battery(monkeypatch):
 
 def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
     # the numpy compositions against the scalar oracle, on seeded
-    # fractional rows with some zeros, so supports vary too
+    # fractional rows with some zeros, so supports vary too; the grouped
+    # factorizations and the joint support against their definitions
     rng = np.random.default_rng(5)
     for S in labeled_pool + witness_corpus:
         calc = theorems._Kernels(S)
+        assert [{(y, z) for y, zs in groups for z in zs}
+                for groups in calc.facts] == list(factorizations(S)), S
         F, G = (np.where(rng.random((4, S.n)) < 0.3, 0.0,
                          rng.random((4, S.n))) for _ in range(2))
+        assert np.array_equal(
+            theorems._joint_support(calc.facts, F[:, None], G[None]),
+            _support_definition(S, F, G)), S
         fs, gs = ([FuzzySubset(S, row) for row in X] for X in (F, G))
         one = constant_one(S)
         assert calc.compose(F[:, None], G[None]).tolist() == [
@@ -330,9 +343,11 @@ def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
 # --- crisp-cut screen of the pair laws ----------------------------------
 
 ROLES = ("any", "right", "left", "one")
-# the pair laws, each direction once (L8-unconditional states L8's scan)
-PAIR_SCANS = (("L8", None), ("L9", None), ("L10", None), ("T13", None),
-              ("T13", "equality"), ("T16", None), ("L8-unconditional", None))
+# the pair-law statements, T13's equality clause too (L8-unconditional
+# states L8's scan)
+PAIR_SCANS = tuple(theorems.LAWS[tid] for tid in (
+    "L8", "L9", "L10", "T13", "T16", "L8-unconditional")) + (
+    theorems._equality_clause(theorems.LAWS["T13"]),)
 
 
 def _null3(order=()):
@@ -395,17 +410,14 @@ def _screen_agrees(structures, battery):
     hits = 0
     for S in structures:
         ctx = theorems._Context(S, battery(S))
-        for tid, direction in PAIR_SCANS:
-            law = theorems.LAWS[tid]
+        for law in PAIR_SCANS:
             full = theorems._first_pair(ctx.calc, law,
-                                        *map(ctx.members, law.roles),
-                                        direction)
+                                        *map(ctx.members, law.roles))
             crisp = theorems._first_pair(ctx.calc, law,
-                                         *map(ctx.crisp_rows, law.roles),
-                                         direction)
-            assert (crisp is None) == (full is None), (S, tid, direction)
-            located = theorems._locate_pair(ctx, law, direction)
-            assert located == full, (S, tid, direction)
+                                         *map(ctx.crisp_rows, law.roles))
+            assert (crisp is None) == (full is None), (S, law)
+            located = theorems._locate_pair(ctx, law)
+            assert located == full, (S, law)
             hits += full is not None
     assert hits
 
@@ -456,8 +468,10 @@ def _raising_kernel(facts, F, G):
 
 
 @pytest.mark.parametrize("kernel, refuted, random_refuted", [
-    (_halving_kernel, {"P6", "L21", "L22"}, {"P6", "L21", "L22"}),
-    (_raising_kernel, {"P6", "C30"}, {"P6", "L10", "C30"})])
+    (_halving_kernel, {"P4", "P5", "P6", "L21", "L22"},
+     {"P4", "P5", "P6", "L21", "L22"}),
+    (_raising_kernel, {"P4", "P5", "P6", "P29", "C30", "QI"},
+     {"P4", "P5", "P6", "L10", "P29", "C30", "QI"})])
 def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
                                                random_refuted):
     # both faults keep every 0/1 composition, so the crisp screen cannot see
