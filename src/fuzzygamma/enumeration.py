@@ -3,7 +3,8 @@
 Tables are filled cell by cell in row-major order by backtracking, which
 after each assignment checks only the associativity instances that read
 the new cell.  The labeled posets on n elements (OEIS A001035) are listed
-once per n and filtered per table for two-sided compatibility.  Isomorphism
+once per n and filtered per table for two-sided compatibility, as
+bitmasks, against the pairs each strict pair forces.  Isomorphism
 reduction visits every element and operation relabeling, adequate at the
 configured caps, and drops each one at its first cell that exceeds the
 least table found so far.
@@ -15,7 +16,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from .structure import GammaStructure, order_is_compatible
+from .structure import GammaStructure, _forced_pairs
 # Never called here. perfbench traces the enumerator's validation under this
 # name, and its count of zero shows that emitted structures skip validation.
 from .structure import validate_structure  # noqa: F401
@@ -127,11 +128,33 @@ def _posets(n: int) -> tuple[frozenset, ...]:
     return tuple(posets)
 
 
+def _bits(n: int, pairs) -> int:
+    """Index pairs as a bitmask, pair (i, j) at bit i*n + j."""
+    return sum(1 << (i * n + j) for i, j in pairs)
+
+
+@functools.cache
+def _poset_bits(n: int) -> tuple[tuple[int, tuple], ...]:
+    """Each poset of ``_posets(n)`` as its bitmask and its strict pairs."""
+    return tuple((_bits(n, leq), tuple((i, j) for i, j in leq if i != j))
+                 for leq in _posets(n))
+
+
 def enumerate_orders(n: int, table=None):
     """The labeled partial orders on n elements, bitmask-ascending; with a
-    table, only those compatible with each operation on both sides."""
-    for leq in _posets(n):
-        if table is None or order_is_compatible(table, n, len(table[0]), leq):
+    table, only those compatible with each operation on both sides: those
+    that hold every pair their strict pairs force
+    (``structure._forced_pairs``)."""
+    if table is None:
+        yield from _posets(n)
+        return
+    forced = {p: _bits(n, pairs) for p, pairs
+              in _forced_pairs(table, n, len(table[0])).items()}
+    for leq, (mask, strict) in zip(_posets(n), _poset_bits(n)):
+        need = 0
+        for p in strict:
+            need |= forced[p]
+        if not need & ~mask:
             yield leq
 
 

@@ -55,12 +55,44 @@ def in_class(S: GammaStructure, a: int, name: str) -> bool:
     return witness(S, a, name) is not None
 
 
+class _Shared:
+    """What the deciders read of one structure, each computed once: the
+    point characteristics, the constant one, the compositions of these
+    made so far, and the principal right and left ideal of each element.
+
+    ``compose`` memoizes by operand identity, which is sound since every
+    operand is one of the objects held here, and delegates to the
+    module-global ``fuzzy.compose``: the scalar oracle still makes every
+    composition, and the class words share ``p∘p`` and ``1∘(p∘p)``.
+    """
+
+    def __init__(self, S: GammaStructure):
+        self.points = tuple(fuzzy.point_characteristic(S, a)
+                            for a in range(S.n))
+        self.one = fuzzy.constant_one(S)
+        self.right = tuple(principal_ideal(S, a, "right") for a in range(S.n))
+        self.left = tuple(principal_ideal(S, a, "left") for a in range(S.n))
+        self._products = {}
+
+    def compose(self, f, g):
+        key = (id(f), id(g))
+        out = self._products.get(key)
+        if out is None:
+            out = self._products[key] = fuzzy.compose(f, g)
+        return out
+
+
+# one entry: the deciders of every class, and a law check that follows on
+# the same structure, share it
+_shared = lru_cache(maxsize=1)(_Shared)
+
+
 def ideal_criterion(S: GammaStructure, a: int, reverse: bool = False) -> bool:
     """R(a) ∩ L(a) lies below R(a) Γ L(a), or L(a) Γ R(a) with ``reverse``:
     the principal-ideal criterion of regularity (of intra-regularity when
     reversed)."""
-    R = principal_ideal(S, a, "right")
-    L = principal_ideal(S, a, "left")
+    shared = _shared(S)
+    R, L = shared.right[a], shared.left[a]
     A, B = (L, R) if reverse else (R, L)
     return (R & L) <= downward_closure(S, subset_product(S, A, B))
 
@@ -73,10 +105,10 @@ def _every_point_chain(word):
     # the class's word as a composition chain of the point characteristic
     # of a, evaluated at a (the converse arguments of the characterizations)
     def decide(S):
-        one = fuzzy.constant_one(S)
-        return all(fuzzy.chain(word, fuzzy.point_characteristic(S, a),
-                               fuzzy.compose, one).values[a] == 1.0
-                   for a in range(S.n))
+        shared = _shared(S)
+        return all(fuzzy.chain(word, p, shared.compose,
+                               shared.one).values[a] == 1.0
+                   for a, p in enumerate(shared.points))
     return decide
 
 
@@ -156,17 +188,20 @@ def classify(S: GammaStructure) -> ClassificationReport:
     require_checkable(S, "classification requires")
     classes = {}
     for name in CLASS_NAMES:
-        # one witness search per element gives the definitional verdict,
-        # the witnesses and the failing element
-        found = [witness(S, a, name) for a in range(S.n)]
-        verdicts = {dn: None not in found if dn == "definitional" else fn(S)
+        # one witness search per element, up to the first failing one,
+        # gives the definitional verdict, the witnesses and the failing
+        # element
+        found = tuple(itertools.takewhile(
+            lambda w: w is not None,
+            (witness(S, a, name) for a in range(S.n))))
+        verdicts = {dn: len(found) == S.n if dn == "definitional" else fn(S)
                     for dn, fn in _DECIDERS[name].items()}
         if len(set(verdicts.values())) > 1:
             raise DeciderDisagreement(
                 f"deciders disagree on class {name!r} for structure "
                 f"{S.digest()}: {verdicts}")
         holds = verdicts["definitional"]
-        failing = None if holds else S.elements[found.index(None)]
+        failing = None if holds else S.elements[len(found)]
         classes[name] = ClassVerdict(holds, verdicts,
-                                     tuple(found) if holds else (), failing)
+                                     found if holds else (), failing)
     return ClassificationReport(S.digest(), classes)

@@ -57,17 +57,22 @@ class GammaStructure:
     def carrier(self) -> frozenset[int]:
         return frozenset(range(self.n))
 
+    def __hash__(self) -> int:
+        # memoized like digest, from the int-valued fields only: str hashes
+        # vary between processes, and a pickled structure keeps its memo
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash((self.table, self.leq))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
     def digest(self) -> str:
         # memoized outside the dataclass fields, so eq and hash ignore it
         cached = self.__dict__.get("_digest")
         if cached is None:
+            # json encodes tuples as arrays
             blob = json.dumps(
-                [
-                    list(self.elements),
-                    list(self.gammas),
-                    [[list(row) for row in plane] for plane in self.table],
-                    sorted(self.leq),
-                ],
+                [self.elements, self.gammas, self.table, sorted(self.leq)],
                 separators=(",", ":"),
             )
             cached = hashlib.sha256(blob.encode()).hexdigest()[:12]
@@ -116,18 +121,28 @@ def table_is_associative(table, n: int, m: int) -> bool:
     return True
 
 
+def _forced_pairs(table, n: int, m: int) -> dict:
+    """For each pair (i, j), the off-diagonal pairs that i <= j forces in a
+    compatible order: (i γ c, j γ c) and (c γ i, c γ j) over every γ and c
+    (none when i == j)."""
+    forced = {}
+    for i in range(n):
+        for j in range(n):
+            pairs = set()
+            for g in range(m):
+                Tig, Tjg = table[i][g], table[j][g]
+                for c in range(n):
+                    Tcg = table[c][g]
+                    pairs.add((Tig[c], Tjg[c]))
+                    pairs.add((Tcg[i], Tcg[j]))
+            forced[i, j] = frozenset((x, y) for x, y in pairs if x != y)
+    return forced
+
+
 def order_is_compatible(table, n: int, m: int, leq) -> bool:
     """Two-sided compatibility: i <= j implies i*c <= j*c and c*i <= c*j."""
-    for i, j in leq:
-        if i == j:
-            continue
-        for g in range(m):
-            for c in range(n):
-                if (table[i][g][c], table[j][g][c]) not in leq:
-                    return False
-                if (table[c][g][i], table[c][g][j]) not in leq:
-                    return False
-    return True
+    forced = _forced_pairs(table, n, m)
+    return all(forced[p] <= leq for p in leq)
 
 
 def validate_structure(elements, gammas, table, order,
@@ -242,15 +257,14 @@ def principal_ideal(S: GammaStructure, a: int, side: str) -> frozenset[int]:
 @lru_cache(maxsize=64)
 def factorizations(S: GammaStructure) -> tuple[frozenset[tuple[int, int]], ...]:
     """For each a, the deduplicated pairs (y, z) with a <= y*z for some op."""
-    out = []
-    for a in range(S.n):
-        pairs = set()
-        for y in range(S.n):
-            for g in range(S.m):
-                row = S.table[y][g]
-                for z in range(S.n):
-                    if S.le(a, row[z]):
-                        pairs.add((y, z))
-        out.append(frozenset(pairs))
-    return tuple(out)
+    below = [[] for _ in range(S.n)]
+    for i, j in S.leq:
+        below[j].append(i)
+    out = [set() for _ in range(S.n)]
+    for y, plane in enumerate(S.table):
+        for row in plane:
+            for z, p in enumerate(row):
+                for a in below[p]:
+                    out[a].add((y, z))
+    return tuple(frozenset(pairs) for pairs in out)
 

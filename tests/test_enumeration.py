@@ -8,7 +8,7 @@ from fuzzygamma import enumeration
 from fuzzygamma.enumeration import (SearchSpec, are_isomorphic,
                                     canonical_form, enumerate_orders,
                                     enumerate_structures, enumerate_tables)
-from fuzzygamma.structure import validate_structure
+from fuzzygamma.structure import order_is_compatible, validate_structure
 
 
 def test_single_element_counts():
@@ -152,6 +152,35 @@ def test_orders_for_constant_table():
     table = (((0, 0),), ((0, 0),))
     got = list(enumerate_orders(2, table))
     assert len(got) == 3  # all labeled posets on two elements qualify
+
+
+def _compatible_by_loop(table, n, m, leq):
+    """Reference: every compatibility instance of every strict pair."""
+    for i, j in leq:
+        if i == j:
+            continue
+        for g in range(m):
+            for c in range(n):
+                if (table[i][g][c], table[j][g][c]) not in leq:
+                    return False
+                if (table[c][g][i], table[c][g][j]) not in leq:
+                    return False
+    return True
+
+
+def test_orders_match_the_instance_loop():
+    # all 5 302 tables of (3,2), (3,3) and (4,1): 120 994 orders, in order
+    total = 0
+    for n, m in [(3, 2), (3, 3), (4, 1)]:
+        for table in enumerate_tables(n, m):
+            got = list(enumerate_orders(n, table))
+            assert got == [leq for leq in enumerate_orders(n)
+                           if _compatible_by_loop(table, n, m, leq)], table
+            total += len(got)
+            if (n, m) == (3, 2):  # validation reads the same forced pairs
+                assert got == [leq for leq in enumerate_orders(n)
+                               if order_is_compatible(table, n, m, leq)]
+    assert total == 120_994
 
 
 def test_orders_include_discrete():

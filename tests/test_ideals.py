@@ -4,10 +4,10 @@ import json
 import pytest
 
 import naive_oracle
-from fuzzygamma import ideals, serialize
+from fuzzygamma import fuzzy, ideals, serialize
 from fuzzygamma.enumeration import SearchSpec, enumerate_structures
-from fuzzygamma.fuzzy import characteristic, is_fuzzy_left_ideal, \
-    is_fuzzy_right_ideal
+from fuzzygamma.fuzzy import FuzzySubset, characteristic, \
+    is_fuzzy_left_ideal, is_fuzzy_right_ideal
 from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
                                is_right_ideal, principal_left_ideal,
                                principal_right_ideal)
@@ -186,6 +186,8 @@ def test_factorization_cache_stays_bounded_while_streaming():
 
 
 def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
+    # every element of a holding class, and a failing class's elements up
+    # to and including its first failing one, each searched once, in order
     calls = []
     search = ideals.witness
 
@@ -195,9 +197,66 @@ def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
 
     monkeypatch.setattr(ideals, "witness", counted)
     for S in labeled_pool:
+        expected = []
+        for name in CLASS_NAMES:
+            member = [naive_oracle.NAIVE_CLASSES[name](S.n, S.m, S.table,
+                                                        S.leq, a)
+                      for a in range(S.n)]
+            last = S.n - 1 if all(member) else member.index(False)
+            expected += [(a, name) for a in range(last + 1)]
         calls.clear()
         classify(S)
-        assert len(calls) == len(set(calls)) == 4 * S.n, S
+        assert calls == expected, S
+
+
+@pytest.fixture
+def fresh_shared_state():
+    # the shared state memoizes compositions and principal ideals, so a
+    # patched kernel must neither reach a state built before it nor leave
+    # one behind
+    ideals._shared.cache_clear()
+    yield
+    ideals._shared.cache_clear()
+
+
+def test_fuzzy_decider_composes_through_the_scalar_oracle(
+        labeled_pool, monkeypatch, fresh_shared_state):
+    S = next(S for S in labeled_pool
+             if S.n == 3 and DECIDERS["regular"]["definitional"](S))
+    compose = fuzzy.compose
+
+    def halved(f, g):
+        h = compose(f, g)
+        return FuzzySubset(h.structure, [v / 2 for v in h.values])
+
+    monkeypatch.setattr(fuzzy, "compose", halved)
+    with pytest.raises(ideals.DeciderDisagreement, match="regular"):
+        classify(S)
+
+
+def test_classify_shares_compositions_and_principal_ideals(
+        labeled_pool, monkeypatch, fresh_shared_state):
+    pairs, principal = [], []
+    compose, principal_ideal = fuzzy.compose, ideals.principal_ideal
+
+    def counted_compose(f, g):
+        pairs.append((id(f), id(g)))
+        return compose(f, g)
+
+    def counted_principal(S, a, side):
+        principal.append((a, side))
+        return principal_ideal(S, a, side)
+
+    monkeypatch.setattr(fuzzy, "compose", counted_compose)
+    monkeypatch.setattr(ideals, "principal_ideal", counted_principal)
+    for S in labeled_pool:
+        pairs.clear()
+        principal.clear()
+        classify(S)
+        # the state holds every operand, so no id is reused meanwhile
+        assert len(pairs) == len(set(pairs)) <= 6 * S.n, S
+        assert sorted(principal) == sorted(
+            (a, side) for a in range(S.n) for side in ("right", "left")), S
 
 
 def _report_sha256(structures):

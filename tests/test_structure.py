@@ -1,8 +1,13 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+import fuzzygamma
 from fuzzygamma import (StructureError, downward_closure, factorizations,
                         is_associative, subset_product, validate_structure)
 
@@ -128,9 +133,9 @@ def test_factorizations_examples(T1, LZ2, NZ2):
     assert factorizations(T1) == (frozenset({(0, 0)}),)
 
 
-def test_factorizations_oracle(NZ2, LZ2):
+def test_factorizations_oracle(NZ2, LZ2, labeled_pool, witness_corpus):
     # quadruple loop over (a, y, z, gamma)
-    for S in (NZ2, LZ2):
+    for S in (NZ2, LZ2, *labeled_pool, *witness_corpus):
         facts = factorizations(S)
         for a in range(S.n):
             expected = {(y, z)
@@ -174,3 +179,35 @@ def test_opposite_structure(LZ2, labeled_pool):
         op = S.opposite()
         assert op == validate_structure(op.elements, op.gammas, op.table,
                                         sorted(op.leq))
+
+
+def test_equal_structures_hash_the_same(labeled_pool):
+    for S in labeled_pool:
+        twin = validate_structure(S.elements, S.gammas, S.table, sorted(S.leq))
+        assert twin is not S and twin == S
+        assert hash(twin) == hash(S)
+
+
+_HASH_SCRIPT = """
+import pickle
+from fuzzygamma import validate_structure
+S = validate_structure(["z", "a", "b"], ["g", "h"],
+                       [[[0, 0, 0], [0, 1, 2]], [[0, 1, 1], [1, 1, 2]],
+                        [[0, 1, 2], [2, 1, 2]]], [(0, 1)],
+                       require_compat=False)
+print(hash(S), hash(pickle.loads(pickle.dumps(S))))
+"""
+
+
+def test_hash_is_the_same_across_processes():
+    # string hashes change with PYTHONHASHSEED; the memoized hash must not,
+    # since a pickled structure carries it into another process
+    src = str(pathlib.Path(fuzzygamma.__file__).resolve().parent.parent)
+    outs = {subprocess.run(
+        [sys.executable, "-c", _HASH_SCRIPT], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONHASHSEED": seed,
+                         "PYTHONPATH": src}).stdout
+        for seed in ("1", "2")}
+    assert len(outs) == 1
+    first, unpickled = outs.pop().split()
+    assert first == unpickled
