@@ -52,13 +52,14 @@ def all_subsets(S: GammaStructure):
 
 def in_class(S: GammaStructure, a: int, name: str) -> bool:
     """Definitional test: a lies below a product of its class's word."""
-    return witness(S, a, name) is not None
+    return _shared(S).witness(a, name) is not None
 
 
 class _Shared:
     """What the deciders read of one structure, each computed once: the
     point characteristics, the constant one, the compositions of these
-    made so far, and the principal right and left ideal of each element.
+    made so far, the principal right and left ideal of each element, and
+    the witness searches made so far.
 
     ``compose`` memoizes by operand identity, which is sound since every
     operand is one of the objects held here, and delegates to the
@@ -67,12 +68,14 @@ class _Shared:
     """
 
     def __init__(self, S: GammaStructure):
+        self.S = S
         self.points = tuple(fuzzy.point_characteristic(S, a)
                             for a in range(S.n))
         self.one = fuzzy.constant_one(S)
         self.right = tuple(principal_ideal(S, a, "right") for a in range(S.n))
         self.left = tuple(principal_ideal(S, a, "left") for a in range(S.n))
         self._products = {}
+        self._witnesses = {}
 
     def compose(self, f, g):
         key = (id(f), id(g))
@@ -81,9 +84,16 @@ class _Shared:
             out = self._products[key] = fuzzy.compose(f, g)
         return out
 
+    def witness(self, a: int, name: str):
+        """``witness(S, a, name)``, searched once per element and class."""
+        key = (a, name)
+        if key not in self._witnesses:
+            self._witnesses[key] = witness(self.S, a, name)
+        return self._witnesses[key]
 
-# one entry: the deciders of every class, and a law check that follows on
-# the same structure, share it
+
+# one entry: the deciders of every class, and the law checks and witness
+# replays that follow on the same structure, share it
 _shared = lru_cache(maxsize=1)(_Shared)
 
 
@@ -186,6 +196,7 @@ class ClassificationReport:
 def classify(S: GammaStructure) -> ClassificationReport:
     """Run every applicable decider per class and assert agreement."""
     require_checkable(S, "classification requires")
+    shared = _shared(S)
     classes = {}
     for name in CLASS_NAMES:
         # one witness search per element, up to the first failing one,
@@ -193,7 +204,7 @@ def classify(S: GammaStructure) -> ClassificationReport:
         # element
         found = tuple(itertools.takewhile(
             lambda w: w is not None,
-            (witness(S, a, name) for a in range(S.n))))
+            (shared.witness(a, name) for a in range(S.n))))
         verdicts = {dn: len(found) == S.n if dn == "definitional" else fn(S)
                     for dn, fn in _DECIDERS[name].items()}
         if len(set(verdicts.values())) > 1:

@@ -90,13 +90,10 @@ class _Calculus:
                   for y, group in groupby(sorted(pairs), lambda p: p[0]))
             for pairs in factorizations(S))
         self.one = np.ones(S.n)
-        self._elements: dict[str, np.ndarray] = {}
 
     def elements(self, name: str) -> np.ndarray:
-        if name not in self._elements:
-            self._elements[name] = np.array(
-                [ideals.in_class(self.S, a, name) for a in range(self.S.n)])
-        return self._elements[name]
+        return np.array([ideals.in_class(self.S, a, name)
+                         for a in range(self.S.n)])
 
 
 class _Kernels(_Calculus):
@@ -124,13 +121,6 @@ class _Scalar(_Calculus):
 
     def ideal(self, name, f):
         return fuzzy.satisfies(FuzzySubset(self.S, f), name)
-
-
-def _support_representatives(X):
-    """Indices of the first row of each distinct support pattern, ascending."""
-    codes = (X > 0) @ (1 << np.arange(X.shape[1]))
-    _, first = np.unique(codes, return_index=True)
-    return np.sort(first)
 
 
 # --- the law table ------------------------------------------------------
@@ -232,49 +222,47 @@ class _Context:
             self.W = np.array(
                 [f.values for f in fuzzy.enumerate_grid_battery(S, battery)],
                 dtype=float)
-        self._roles: dict[str, np.ndarray] = {}
+        # every 0/1 row, which every battery holds too
+        self._crisp = (np.arange(2 ** S.n)[:, None] >> np.arange(S.n)
+                       & 1).astype(float)
+        self._roles: dict[tuple[str, int], np.ndarray] = {}
 
     def row_dict(self, row) -> dict[str, float]:
         return {lbl: float(v) for lbl, v in zip(self.S.elements, row)}
 
-    def _selected(self, role: str, key: str, select) -> np.ndarray:
-        key = f"{role}:{key}"
-        if key not in self._roles:
-            X = self.members(role)
-            self._roles[key] = X[select(X)]
-        return self._roles[key]
-
-    def support_rows(self, role: str) -> np.ndarray:
-        """The first row of each support pattern of ``members(role)``."""
-        return self._selected(role, "support", _support_representatives)
-
-    def crisp_rows(self, role: str) -> np.ndarray:
-        """The rows of ``members(role)`` whose values are all 0 or 1."""
-        return self._selected(role, "crisp",
-                              lambda X: ((X == 0) | (X == 1)).all(axis=1))
-
     def members(self, role: str) -> np.ndarray:
         """Battery rows for a quantifier role.
 
-        Role-filtered rows come first (battery order), then the
-        characteristic function of each principal ideal of the role's side,
-        which the filter may reject on a table that is not a Γ-semigroup.
         Every 0/1 row is a battery row, and a crisp ideal's passes the
         filter on any table (L11), so no other crisp rows are added.
         """
-        if role in self._roles:
-            return self._roles[role]
+        return self._role_rows(role, self.W)
+
+    def crisp_rows(self, role: str) -> np.ndarray:
+        """The 0/1 rows of ``members(role)``, in no particular order."""
+        return self._role_rows(role, self._crisp)
+
+    def _role_rows(self, role: str, base: np.ndarray) -> np.ndarray:
+        """The rows of ``base`` for a quantifier role, cached per base.
+
+        Role-filtered rows come first (in ``base`` order), then the
+        characteristic function of each principal ideal of the role's side,
+        which the filter may reject on a table that is not a Γ-semigroup.
+        """
+        key = (role, id(base))
+        if key in self._roles:
+            return self._roles[key]
         S = self.S
         if role == "any":
-            arr = self.W
+            arr = base
         elif role == "one":
             arr = np.ones((1, S.n))
         else:
             extra = [fuzzy.characteristic(
                 S, principal_ideal(S, a, role)).values for a in range(S.n)]
-            arr = np.concatenate([self.W[self.calc.ideal(role, self.W)],
+            arr = np.concatenate([base[self.calc.ideal(role, base)],
                                   np.array(extra, dtype=float)])
-        self._roles[role] = arr
+        self._roles[key] = arr
         return arr
 
 
@@ -303,57 +291,54 @@ def _first_pair(calc, law: Law, F, G):
     return None
 
 
+def _fails(ctx: _Context, law: Law) -> bool:
+    """Whether ``law`` fails on some battery row (or pair), decided on the
+    crisp rows of its roles alone.
+
+    Sup-min composition, meet and the constant one commute with level cuts,
+    {f∘g >= t} = {f >= t}∘{g >= t}, so a statement that fails on rows
+    fails on their cuts at some level t > 0 (README "Concepts" gives t for
+    each kind).  Every cut of a role's row is a crisp row of that role, and
+    every crisp row of a role is one of its battery rows.
+    """
+    if law.kind in _PAIR_KINDS:
+        return _first_pair(ctx.calc, law,
+                           *map(ctx.crisp_rows, law.roles)) is not None
+    return any(_statement(law, ctx.calc, ctx.crisp_rows(role),
+                          role=role)[0].any() for role in law.roles)
+
+
 def _locate_pair(ctx: _Context, law: Law):
-    """The first (i, j, a, values) where a meet/composition law fails on
-    ``members`` rows F[i], G[j], found in two exact stages.
+    """The first (i, j, a, values) where a pair law fails on ``members``
+    rows F[i], G[j], found in two exact stages.
 
     If f and g violate the law at a, so do f and the cut {g >= t}: at
     t = min(f(a), g(a)) for meet above composition, at t = (f∘g)(a) for
-    composition above meet.  Every such cut is a crisp row of g's role, so
-    the first f row violating against those rows is the first f row with
-    any violating g; only that row is then scanned against every g.
+    composition above meet, and at g's least positive value (its support)
+    for support_iff.  Every such cut is a crisp row of g's role, so the
+    first f row violating against those rows is the first f row with any
+    violating g; only that row is then scanned against every g.  Call it
+    only where the law fails.
     """
     F, G = map(ctx.members, law.roles)
-    hit = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]))
-    if hit is None:
-        return None
-    i = hit[0]
+    i = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]))[0]
     _, j, a, values = _first_pair(ctx.calc, law, F[i:i + 1], G)
     return i, j, a, values
 
 
-def _first_violation(ctx: _Context, law: Law, locate: bool = True):
-    """The witness of the first battery row (or pair) where ``law`` fails.
-
-    Without ``locate``, a meet/composition law's violation is reported as
-    ``{"law": ...}`` alone, as soon as the crisp screen finds one.
-    """
+def _first_violation(ctx: _Context, law: Law):
+    """The witness of the first battery row (or pair) where ``law`` fails,
+    or None.  The battery is scanned only after the crisp screen reports a
+    violation, which the scan then finds."""
+    if not _fails(ctx, law):
+        return None
     S = ctx.S
     w = {"law": law.kind}
     if law.label:
         w[_LABEL_KEYS[law.kind]] = law.label
     if law.kind in _PAIR_KINDS:
-        rows = ctx.members
-        if law.kind == "support_iff":
-            # Both sides of the statement see a pair of rows only through
-            # their supports, so the first violating row of either side is
-            # its support pattern's first row: scan one row per pattern.
-            rows = ctx.support_rows
-            hit = _first_pair(ctx.calc, law, *map(rows, law.roles))
-        elif _first_pair(ctx.calc, law,
-                         *map(ctx.crisp_rows, law.roles)) is None:
-            # A meet/composition comparison that fails at level t fails on
-            # the cuts {f >= t}, {g >= t}, and every cut of a role's row is
-            # one of its crisp rows, so the law holds on the whole battery.
-            return None
-        elif not locate:
-            return w
-        else:
-            hit = _locate_pair(ctx, law)
-        if hit is None:
-            return None
-        F, G = map(rows, law.roles)
-        i, j, a, values = hit
+        F, G = map(ctx.members, law.roles)
+        i, j, a, values = _locate_pair(ctx, law)
         w.update(f=ctx.row_dict(F[i]), g=ctx.row_dict(G[j]),
                  element=S.elements[a])
         w.update(values)
@@ -396,7 +381,7 @@ def _scan(ctx: _Context, law: Law):
     in_class = ctx.calc.elements(law.iff)
     if not in_class.all():
         # off its class the statement must fail somewhere; where is not kept
-        if _first_violation(ctx, law, locate=False) is not None:
+        if _fails(ctx, law):
             return True, False, None
         return False, False, {
             "law": "class_mismatch", "class": law.iff,

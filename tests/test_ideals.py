@@ -4,9 +4,9 @@ import json
 import pytest
 
 import naive_oracle
-from fuzzygamma import fuzzy, ideals, serialize
+from fuzzygamma import fuzzy, ideals, serialize, theorems
 from fuzzygamma.enumeration import SearchSpec, enumerate_structures
-from fuzzygamma.fuzzy import FuzzySubset, characteristic, \
+from fuzzygamma.fuzzy import FuzzySubset, GridBattery, characteristic, \
     is_fuzzy_left_ideal, is_fuzzy_right_ideal
 from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
                                is_right_ideal, principal_left_ideal,
@@ -185,9 +185,17 @@ def test_factorization_cache_stays_bounded_while_streaming():
     assert factorizations.cache_info().currsize <= 64
 
 
-def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
-    # every element of a holding class, and a failing class's elements up
-    # to and including its first failing one, each searched once, in order
+@pytest.fixture
+def fresh_shared_state():
+    # the shared state memoizes compositions, principal ideals and witness
+    # searches, so a patched kernel or a counted search must neither reach
+    # a state built before it nor leave one behind
+    ideals._shared.cache_clear()
+    yield
+    ideals._shared.cache_clear()
+
+
+def _counted_witness_searches(monkeypatch):
     calls = []
     search = ideals.witness
 
@@ -196,6 +204,14 @@ def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
         return search(S, a, name)
 
     monkeypatch.setattr(ideals, "witness", counted)
+    return calls
+
+
+def test_classify_searches_each_witness_once(labeled_pool, monkeypatch,
+                                             fresh_shared_state):
+    # every element of a holding class, and a failing class's elements up
+    # to and including its first failing one, each searched once, in order
+    calls = _counted_witness_searches(monkeypatch)
     for S in labeled_pool:
         expected = []
         for name in CLASS_NAMES:
@@ -209,14 +225,19 @@ def test_classify_searches_each_witness_once(labeled_pool, monkeypatch):
         assert calls == expected, S
 
 
-@pytest.fixture
-def fresh_shared_state():
-    # the shared state memoizes compositions and principal ideals, so a
-    # patched kernel must neither reach a state built before it nor leave
-    # one behind
-    ideals._shared.cache_clear()
-    yield
-    ideals._shared.cache_clear()
+def test_law_checks_reuse_the_witness_searches(labeled_pool, monkeypatch,
+                                              fresh_shared_state):
+    # classify, then the law checks and the control on the same structure,
+    # run each (element, class) search at most once; the searches do not
+    # depend on the battery, so a small one keeps this cheap
+    calls = _counted_witness_searches(monkeypatch)
+    battery = GridBattery(levels=3)
+    for S in labeled_pool:
+        calls.clear()
+        classify(S)
+        theorems.check_all(S, battery)
+        theorems.check(S, "L8-unconditional", battery)
+        assert len(calls) == len(set(calls)), S
 
 
 def test_fuzzy_decider_composes_through_the_scalar_oracle(

@@ -170,7 +170,7 @@ def test_witness_corpus_replays_and_keeps_its_verdicts(witness_corpus,
     assert digest.hexdigest() == CORPUS_VERDICTS_SHA256
 
 
-# --- support-pattern quotient of L17, C18 and C19 -----------------------
+# --- L17, C18 and C19 under support-only kernel faults ------------------
 
 def _left_zero3():
     return validate_structure(["a", "b", "c"], ["g"],
@@ -188,7 +188,7 @@ def _support_definition(S, F, G):
 
 
 def _full_support_scan(calc, F, G):
-    """Unquotiented reference: every row of F against every row of G."""
+    """Reference: every row of F against every row of G, in order."""
     C = calc.compose(F[:, None], G[None]) > 0
     bad = C != _support_definition(calc.S, F, G)
     if not bad.any():
@@ -207,30 +207,18 @@ def _zero_kernel(facts, F, G):
 def _blind_kernel(facts, F, G):
     # a support-only fault that never sees element 0 as a factor; unlike the
     # zero kernel, its first hit lies past the first two battery rows, where
-    # a representative that is not its pattern's first row would show
+    # a locator that lost the row order would show
     F, G = F.copy(), G.copy()
     F[..., 0] = G[..., 0] = 0.0
     return _real_compose(facts, F, G)
 
 
-def test_support_representatives_first_row_per_pattern():
-    S = _left_zero3()
-    ctx = theorems._Context(S, default_battery(S))
-    W = ctx.members("any")
-    reps = theorems._support_representatives(W)
-    assert W.shape == (8 ** 3, 3)
-    assert np.all(np.diff(reps) > 0)
-    first = {}
-    for i, row in enumerate(W):
-        first.setdefault(tuple(row > 0), i)
-    assert len(first) == 2 ** 3
-    assert list(reps) == sorted(first.values())
-    assert np.array_equal(ctx.support_rows("any"), W[reps])
-
-
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
 @pytest.mark.parametrize("make", [make_lz2, make_nz2, _left_zero3])
 def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
+    # the two-stage locator finds the full scan's first hit: with a fault
+    # that sees only supports, f and the characteristic function of g's
+    # support still violate, and that is a crisp row of g's role
     monkeypatch.setattr(theorems, "_compose", kernel)
     S = make()
     ctx = theorems._Context(S, default_battery(S))
@@ -239,11 +227,7 @@ def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
         F, G = (ctx.members(role) for role in law.roles)
         expected = _full_support_scan(ctx.calc, F, G)
         assert expected is not None
-        i, j, a = expected
-        Fq, Gq = (ctx.support_rows(role) for role in law.roles)
-        qi, qj, qa, _ = theorems._first_pair(ctx.calc, law, Fq, Gq)
-        # battery rows are distinct, so equal rows are the same row
-        assert (list(Fq[qi]), list(Gq[qj]), qa) == (list(F[i]), list(G[j]), a)
+        assert theorems._locate_pair(ctx, law) == expected + ([],), tid
 
 
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
@@ -316,37 +300,47 @@ def test_context_built_once_per_structure_and_battery(monkeypatch):
                          (make_nz2(), default_battery(make_nz2()))]
 
 
+def _seeded_rows(rng, S):
+    # fractional rows with some zeros, so supports vary too
+    return (np.where(rng.random((4, S.n)) < 0.3, 0.0, rng.random((4, S.n)))
+            for _ in range(2))
+
+
+def _kernel_matches_scalar(S, F, G) -> bool:
+    """Whether the numpy compositions of rows F and G, pairwise and with
+    the constant one on either side, equal the scalar oracle's."""
+    calc = theorems._Kernels(S)
+    fs, gs = ([FuzzySubset(S, row) for row in X] for X in (F, G))
+    one = constant_one(S)
+    return (calc.compose(F[:, None], G[None]).tolist() == [
+                [list(compose(f, g).values) for g in gs] for f in fs]
+            and calc.compose(F, calc.one).tolist() == [
+                list(compose(f, one).values) for f in fs]
+            and calc.compose(calc.one, G).tolist() == [
+                list(compose(one, g).values) for g in gs])
+
+
 def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
-    # the numpy compositions against the scalar oracle, on seeded
-    # fractional rows with some zeros, so supports vary too; the grouped
-    # factorizations and the joint support against their definitions
+    # the numpy compositions against the scalar oracle on seeded rows; the
+    # grouped factorizations and the joint support against their
+    # definitions
     rng = np.random.default_rng(5)
     for S in labeled_pool + witness_corpus:
         calc = theorems._Kernels(S)
         assert [{(y, z) for y, zs in groups for z in zs}
                 for groups in calc.facts] == list(factorizations(S)), S
-        F, G = (np.where(rng.random((4, S.n)) < 0.3, 0.0,
-                         rng.random((4, S.n))) for _ in range(2))
+        F, G = _seeded_rows(rng, S)
         assert np.array_equal(
             theorems._joint_support(calc.facts, F[:, None], G[None]),
             _support_definition(S, F, G)), S
-        fs, gs = ([FuzzySubset(S, row) for row in X] for X in (F, G))
-        one = constant_one(S)
-        assert calc.compose(F[:, None], G[None]).tolist() == [
-            [list(compose(f, g).values) for g in gs] for f in fs], S
-        assert calc.compose(F, calc.one).tolist() == [
-            list(compose(f, one).values) for f in fs], S
-        assert calc.compose(calc.one, G).tolist() == [
-            list(compose(one, g).values) for g in gs], S
+        assert _kernel_matches_scalar(S, F, G), S
 
 
-# --- crisp-cut screen of the pair laws ----------------------------------
+# --- crisp-cut screen of every battery statement ------------------------
 
 ROLES = ("any", "right", "left", "one")
-# the pair-law statements, T13's equality clause too (L8-unconditional
-# states L8's scan)
-PAIR_SCANS = tuple(theorems.LAWS[tid] for tid in (
-    "L8", "L9", "L10", "T13", "T16", "L8-unconditional")) + (
+# every battery statement, T13's equality clause too
+SCANS = tuple(law for law in theorems.LAWS.values() if law.run is None) + (
     theorems._equality_clause(theorems.LAWS["T13"]),)
 
 
@@ -364,6 +358,9 @@ def _cuts_are_crisp_rows(ctx):
         # every nonempty cut of a row is its cut at one of its own values
         cuts = (X[:, None, :] >= X[:, :, None])[X > 0]
         assert np.isin(cuts @ weights, (crisp > 0) @ weights).all(), role
+        # and every crisp row of the role is one of its battery rows
+        crisp_members = X[((X == 0) | (X == 1)).all(axis=1)]
+        assert np.isin(crisp @ weights, crisp_members @ weights).all(), role
 
 
 def test_level_cuts_are_crisp_rows_on_the_pool(labeled_pool):
@@ -404,32 +401,82 @@ def test_crisp_ideals_are_role_rows_on_a_sampled_battery(labeled_pool,
                                 lambda S: battery)
 
 
+def _first_full_hit(ctx, law):
+    """The role and indices of the first failure of a single-row statement
+    in a scan of every battery row, element-major where the statement is
+    made element by element, or None."""
+    for role in law.roles:
+        bad, _ = theorems._statement(law, ctx.calc, ctx.members(role),
+                                     role=role)
+        hits = [tuple(int(v) for v in h) for h in np.argwhere(bad)]
+        if hits and (law.at or law.kind == "square_bound"):
+            return role, min(hits, key=lambda h: (h[1], h[0]) + h[2:])
+        if hits:
+            return role, hits[0]
+    return None
+
+
+def _full_scan_witness(ctx, law):
+    """The located fields of the witness a scan of every battery row (or
+    pair) finds first, or None."""
+    S = ctx.S
+    if law.kind in theorems._PAIR_KINDS:
+        F, G = map(ctx.members, law.roles)
+        full = theorems._first_pair(ctx.calc, law, F, G)
+        if full is None:
+            return None
+        i, j, a, values = full
+        return {"f": ctx.row_dict(F[i]), "g": ctx.row_dict(G[j]),
+                "element": S.elements[a], **dict(values)}
+    hit = _first_full_hit(ctx, law)
+    if hit is None:
+        return None
+    role, idx = hit
+    names = (S.elements, S.gammas)
+    w = {"side": None if role == "any" else role,
+         "f": ctx.row_dict(ctx.members(role)[idx[0]])}
+    w.update(zip(("element", "gamma"),
+                 (labels[k] for labels, k in zip(names, idx[1:]))))
+    return w
+
+
 def _screen_agrees(structures, battery):
-    # the crisp screen finds a violation exactly when the full scan does,
-    # and the two-stage locator finds the full scan's (i, j, a, values)
-    hits = 0
+    # the crisp screen finds a violation exactly when a scan of every
+    # battery row (or pair) does, and the witness is that scan's first;
+    # _first_violation answers None exactly when the screen finds none,
+    # since the crisp rows are battery rows (_cuts_are_crisp_rows)
+    kinds = set()
     for S in structures:
         ctx = theorems._Context(S, battery(S))
-        for law in PAIR_SCANS:
-            full = theorems._first_pair(ctx.calc, law,
-                                        *map(ctx.members, law.roles))
-            crisp = theorems._first_pair(ctx.calc, law,
-                                         *map(ctx.crisp_rows, law.roles))
-            assert (crisp is None) == (full is None), (S, law)
-            located = theorems._locate_pair(ctx, law)
-            assert located == full, (S, law)
-            hits += full is not None
-    assert hits
+        for law in SCANS:
+            expected = _full_scan_witness(ctx, law)
+            w = theorems._first_violation(ctx, law)
+            assert (w is None) == (expected is None), (S, law)
+            if w is not None:
+                assert {k: w.get(k) for k in expected} == expected, (S, law)
+                kinds.add(law.kind)
+    return kinds
 
 
 def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
     # four levels keep fractional rows (1/3, 2/3) at an eighth of the
     # default n=3 battery, so the full scans stay cheap
-    _screen_agrees(labeled_pool, lambda S: GridBattery(levels=4))
+    assert _screen_agrees(labeled_pool, lambda S: GridBattery(levels=4)) == {
+        "meet_leq_compose", "chain_leq", "chain_eq"}
 
 
 def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
-    _screen_agrees(witness_corpus, default_battery)
+    assert _screen_agrees(witness_corpus, default_battery) == {
+        "meet_leq_compose", "compose_leq_meet", "chain_geq", "chain_leq",
+        "chain_eq", "quasi_bound", "pred_equiv"}
+
+
+def test_crisp_screen_agrees_with_full_scan_on_a_sampled_battery(
+        witness_corpus):
+    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
+    assert _screen_agrees(witness_corpus, lambda S: battery) == {
+        "meet_leq_compose", "compose_leq_meet", "chain_geq", "chain_leq",
+        "chain_eq", "quasi_bound", "pred_equiv"}
 
 
 def _verdicts_sha256(structures):
@@ -468,14 +515,14 @@ def _raising_kernel(facts, F, G):
 
 
 @pytest.mark.parametrize("kernel, refuted, random_refuted", [
-    (_halving_kernel, {"P4", "P5", "P6", "L21", "L22"},
-     {"P4", "P5", "P6", "L21", "L22"}),
-    (_raising_kernel, {"P4", "P5", "P6", "P29", "C30", "QI"},
-     {"P4", "P5", "P6", "L10", "P29", "C30", "QI"})])
+    (_halving_kernel, set(), {"P4", "P5", "P6", "L21", "L22"}),
+    (_raising_kernel, set(), {"P4", "P5", "P6", "L10", "P29", "C30", "QI"})])
 def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
                                                random_refuted):
-    # both faults keep every 0/1 composition, so the crisp screen cannot see
-    # them; other laws and the random search still do
+    # both faults keep every 0/1 composition, and grid mode decides every
+    # law on crisp rows, so no law sees them there; the random search does,
+    # and so does the direct comparison with the scalar oracle
+    # (test_kernel_comparison_sees_fractional_faults)
     S = _null3()
     assert all(v.outcome == "holds" for v in check_all(S))
     monkeypatch.setattr(theorems, "_compose", kernel)
@@ -483,3 +530,11 @@ def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
             if v.outcome == "refuted"} == refuted
     assert {r["law"] for r in cross_validate_random(
         S, samples=2_000, seed=0)} == random_refuted
+
+
+@pytest.mark.parametrize("kernel", [_halving_kernel, _raising_kernel])
+def test_kernel_comparison_sees_fractional_faults(monkeypatch, kernel):
+    monkeypatch.setattr(theorems, "_compose", kernel)
+    rng = np.random.default_rng(5)
+    for S in (make_lz2(), _null3()):
+        assert not _kernel_matches_scalar(S, *_seeded_rows(rng, S)), S
