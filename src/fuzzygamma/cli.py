@@ -70,9 +70,8 @@ def cmd_classify(args) -> int:
 def _build_battery(S, args):
     if args.levels is not None and args.levels < 2:
         raise _InputError(f"--levels must be at least 2, got {args.levels}")
-    battery = fuzzy.default_battery(
-        S, args.levels, seed=0 if args.seed is None else args.seed)
-    if battery.mode == "sampled" and args.seed is None:
+    battery = fuzzy.default_battery(S, args.levels, seed=args.seed or 0)
+    if battery.sampled(S) and args.seed is None:
         raise _InputError(
             "battery exceeds the exhaustive cap; a --seed is required")
     return battery
@@ -117,6 +116,14 @@ def cmd_compose(args) -> int:
     return 0
 
 
+def _write(path, mode, text=""):
+    try:
+        with open(path, mode, encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc}") from exc
+
+
 def cmd_enumerate(args) -> int:
     try:
         spec = enumeration.SearchSpec(n=args.n, m=args.m, limit=args.limit,
@@ -124,11 +131,7 @@ def cmd_enumerate(args) -> int:
     except ValueError as exc:
         raise _InputError(str(exc)) from exc
     if args.census:
-        # an unwritable path fails here, before the enumeration runs
-        try:
-            open(args.census, "a", encoding="utf-8").close()
-        except OSError as exc:
-            raise _InputError(f"cannot write {args.census}: {exc}") from exc
+        _write(args.census, "a")  # an unwritable path fails before enumerating
     counts = {name: 0 for name in ideals.CLASS_NAMES}
     total = 0
     truncated = False
@@ -145,8 +148,7 @@ def cmd_enumerate(args) -> int:
     census = {"n": args.n, "m": args.m, "up_to_iso": args.up_to_iso,
               "total": total, "truncated": truncated, "classes": counts}
     if args.census:
-        with open(args.census, "w", encoding="utf-8") as fh:
-            json.dump(census, fh, indent=2)
+        _write(args.census, "w", json.dumps(census, indent=2))
     print(json.dumps(census))
     return 0
 

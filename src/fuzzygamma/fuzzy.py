@@ -14,10 +14,11 @@ binary64 floats are exact here.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
+
+import numpy as np
 
 from .structure import GammaStructure, factorizations, principal_ideal
 
@@ -234,27 +235,26 @@ SAMPLED_COUNT = 10_000
 class GridBattery:
     """Finite test universe of fuzzy subsets.
 
-    Exhaustive mode enumerates every membership vector on an L-level uniform
-    grid, in lexicographic order (element index major, level ascending).
-    Sampled mode yields seeded uniform random vectors plus all characteristic
-    functions and the generated one-sided ideals of point characteristics.
+    Exhaustive where the L-level uniform grid has at most ``GRID_CAP``
+    members: every membership vector on it, in lexicographic order (element
+    index major, level ascending).  Past the cap it is sampled: ``samples``
+    seeded uniform random vectors, then every characteristic function, then
+    the generated one-sided ideals of point characteristics.
     """
 
     levels: int
-    mode: str = "exhaustive"
-    seed: int | None = None
+    seed: int = 0
     samples: int = SAMPLED_COUNT
 
     def __post_init__(self):
         if self.levels < 2:
             raise ValueError("a grid battery needs at least 2 levels")
-        if self.mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown battery mode {self.mode!r}")
-        if self.mode == "sampled" and self.seed is None:
-            raise ValueError("sampled batteries require a seed")
+
+    def sampled(self, S: GammaStructure) -> bool:
+        return self.levels ** S.n > GRID_CAP
 
     def describe(self, S: GammaStructure) -> str:
-        if self.mode == "exhaustive":
+        if not self.sampled(S):
             return (f"exhaustive grid L={self.levels} "
                     f"({self.levels ** S.n} members)")
         return (f"sampled battery ({self.samples} draws, seed={self.seed}) "
@@ -266,38 +266,38 @@ def grid_levels(levels: int) -> tuple[float, ...]:
 
 
 def default_levels(S: GammaStructure) -> int:
-    # 2n+2 levels reproduce any real-valued violation of a min/max/compare
-    # statement in at most 2n values (0 and 1 fixed).
+    # laws are decided on 0/1 rows, so the level count picks only the witness:
+    # 2n+2 levels reproduce any real-valued one in 2n values (0 and 1 fixed)
     return 2 * S.n + 2
 
 
 def default_battery(S: GammaStructure, levels: int | None = None,
                     seed: int = 0) -> GridBattery:
-    L = levels if levels is not None else default_levels(S)
-    if L ** S.n <= GRID_CAP:
-        return GridBattery(levels=L)
-    return GridBattery(levels=L, mode="sampled", seed=seed)
+    return GridBattery(levels if levels is not None else default_levels(S),
+                       seed=seed)
 
 
-def require_within_cap(S: GammaStructure, battery: GridBattery) -> None:
-    if battery.levels ** S.n > GRID_CAP:
-        raise ValueError(
-            "exhaustive battery exceeds the cap; switch to sampled mode")
+def crisp_array(n: int) -> np.ndarray:
+    """Every 0/1 row on n elements, row ``bits`` holding bit i at column i."""
+    return (np.arange(2 ** n)[:, None] >> np.arange(n) & 1).astype(float)
+
+
+def battery_array(S: GammaStructure, battery: GridBattery) -> np.ndarray:
+    """The battery's members, in battery order, as the rows of one array."""
+    n = S.n
+    if not battery.sampled(S):
+        grid = np.meshgrid(*[grid_levels(battery.levels)] * n, indexing="ij")
+        return np.stack(grid, -1).reshape(-1, n)
+    rng = random.Random(battery.seed)
+    draws = [[rng.random() for _ in range(n)] for _ in range(battery.samples)]
+    # the generated ideal of a point is its principal ideal
+    points = [characteristic(S, principal_ideal(S, a, side)).values
+              for a in range(n) for side in ("right", "left")]
+    return np.concatenate([np.array(draws).reshape(-1, n), crisp_array(n),
+                           np.array(points)])
 
 
 def enumerate_grid_battery(S: GammaStructure, battery: GridBattery):
-    """Deterministic stream of battery members."""
-    if battery.mode == "exhaustive":
-        require_within_cap(S, battery)
-        lv = grid_levels(battery.levels)
-        for combo in itertools.product(lv, repeat=S.n):
-            yield _trusted(S, combo)
-        return
-    rng = random.Random(battery.seed)
-    for _ in range(battery.samples):
-        yield _trusted(S, tuple(rng.random() for _ in range(S.n)))
-    for bits in range(2 ** S.n):
-        yield characteristic(S, {i for i in range(S.n) if bits >> i & 1})
-    for a in range(S.n):
-        for side in ("right", "left"):
-            yield generated_fuzzy_ideal(point_characteristic(S, a), side)
+    """The rows of :func:`battery_array`, as fuzzy subsets."""
+    for row in battery_array(S, battery):
+        yield _trusted(S, tuple(row.tolist()))

@@ -2,20 +2,21 @@
 
 Every law is one entry of :data:`LAWS`: a statement about fuzzy subsets f
 (and g) with its quantifier roles, composition word, hypothesis or
-characterized class, and witness kind.  One interpreter runs each entry in
-three places: over a battery with the numpy kernels (all pairs), over the
-seeded draws of :func:`cross_validate_random` (rows paired), and on a
-single refutation witness in :func:`replay_witness`, where every
-composition goes through the scalar calculus in :mod:`fuzzygamma.fuzzy`.
-Conditional laws evaluate their hypothesis first and report a vacuous hold
-when it fails.  A deliberately weakened negative-control variant
-("L8-unconditional") proves the harness can refute.
+characterized class, and witness kind.  One interpreter runs each entry on
+role rows with the numpy kernels, on the seeded draws of
+:func:`cross_validate_random`, and on one witness in :func:`replay_witness`
+through the scalar calculus of :mod:`fuzzygamma.fuzzy`.  A law is decided
+on the 0/1 rows of its roles, as statements commute with level cuts; the
+battery is built only after that screen finds a violation, to locate the
+witness a full battery scan finds first.  Conditional laws report a vacuous
+hold when their hypothesis fails.  "L8-unconditional", a deliberately
+weakened negative control, proves the harness can refute.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import groupby
 from typing import Callable
 
@@ -211,21 +212,16 @@ class _Context:
 
     def __init__(self, S: GammaStructure, battery: GridBattery):
         self.S = S
+        self.battery = battery
         self.calc = _Kernels(S)
-        if battery.mode == "exhaustive":
-            # every grid vector, in the order of itertools.product
-            fuzzy.require_within_cap(S, battery)
-            lv = np.array(fuzzy.grid_levels(battery.levels))
-            self.W = np.stack(np.meshgrid(*[lv] * S.n, indexing="ij"),
-                              -1).reshape(-1, S.n)
-        else:
-            self.W = np.array(
-                [f.values for f in fuzzy.enumerate_grid_battery(S, battery)],
-                dtype=float)
-        # every 0/1 row, which every battery holds too
-        self._crisp = (np.arange(2 ** S.n)[:, None] >> np.arange(S.n)
-                       & 1).astype(float)
+        self._crisp = fuzzy.crisp_array(S.n)
         self._roles: dict[tuple[str, int], np.ndarray] = {}
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """The battery's rows, built on first use: only to locate a witness
+        after the crisp screen reports a violation."""
+        return fuzzy.battery_array(self.S, self.battery)
 
     def row_dict(self, row) -> dict[str, float]:
         return {lbl: float(v) for lbl, v in zip(self.S.elements, row)}
@@ -628,9 +624,10 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
                           seed: int = 0) -> list[dict]:
     """Seeded real-valued (f, g) search over every registry statement.
 
-    Returns violation records; on a valid structure the list is empty, which
-    certifies that the exhaustive grid battery missed nothing the random
-    search can see.
+    Returns violation records; on a valid structure the list is empty.  The
+    battery checks decide every law on 0/1 rows, so this search, on
+    fractional values, is what sees a kernel fault that keeps every 0/1
+    composition.
     """
     require_checkable(S, "law checks require")
     calc = _Kernels(S)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import jsonschema
 import pytest
@@ -206,6 +207,30 @@ def test_enumerate_unwritable_census(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: cannot write")
         assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_enumerate_census_write_failure(tmp_path, capsys, monkeypatch):
+    # each path passes the writability probe, then the final write fails:
+    # /dev/full (where it exists) with ENOSPC, and a path that becomes a
+    # directory while the structures are enumerated
+    swapped = tmp_path / "census.json"
+    enumerate_structures = enumeration.enumerate_structures
+
+    def swapping(spec):
+        if swapped.exists():
+            swapped.unlink()
+            swapped.mkdir()
+        yield from enumerate_structures(spec)
+
+    monkeypatch.setattr(enumeration, "enumerate_structures", swapping)
+    paths = [p for p in ("/dev/full",) if os.path.exists(p)] + [str(swapped)]
+    for path in paths:
+        assert main(["enumerate", "--n", "1", "--m", "1",
+                     "--census", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert swapped.is_dir()
 
 
 def test_enumerate_truncation_flag(tmp_path, capsys):

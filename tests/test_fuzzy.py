@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 import naive_oracle
 from fuzzygamma import fuzzy, theorems
-from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
+from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
+                              characteristic,
                               compose, constant_one, constant_zero,
                               default_battery, default_levels,
                               enumerate_grid_battery,
@@ -55,7 +56,7 @@ def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
 def test_trusted_constructors_build_valid_subsets(labeled_pool):
     # these constructors skip validation too; a sampled battery holds its
     # draws, every characteristic function and the generated point ideals
-    sampled = GridBattery(levels=4, mode="sampled", seed=5, samples=20)
+    sampled = GridBattery(levels=GRID_CAP + 1, seed=5, samples=20)
     for S in labeled_pool:
         built = [constant_one(S), constant_zero(S),
                  *enumerate_grid_battery(S, GridBattery(levels=4)),
@@ -238,19 +239,29 @@ def test_grid_battery_counts(T1, LZ2, NZ2):
     assert members[-1] == constant_one(NZ2)
 
 
-def test_grid_battery_cap(NZ2):
-    with pytest.raises(ValueError, match="cap"):
-        # 1001^2 rows: past the cap, which is checked before any row is built
-        list(enumerate_grid_battery(NZ2, GridBattery(levels=1001)))
+def test_grid_battery_cap(T1, NZ2):
+    # the kind follows from L^n alone: 1000^2 grid rows are exactly the
+    # cap, 1001^2 are past it
+    at_cap, past_cap = GridBattery(levels=1000), GridBattery(levels=1001)
+    assert GRID_CAP == 1000 ** 2
+    assert not at_cap.sampled(NZ2) and past_cap.sampled(NZ2)
+    assert at_cap.describe(NZ2) == "exhaustive grid L=1000 (1000000 members)"
+    assert past_cap.describe(NZ2).startswith(
+        "sampled battery (10000 draws, seed=0)")
+    # the kind is per structure: one element stays under the cap
+    assert not past_cap.sampled(T1)
 
 
-def test_sampled_battery_needs_seed():
-    with pytest.raises(ValueError, match="seed"):
-        GridBattery(levels=4, mode="sampled")
+def test_sampled_battery_seed_defaults_to_zero(NZ2):
+    b = GridBattery(levels=1001, samples=10)
+    assert b == GridBattery(levels=1001, seed=0, samples=10)
+    assert ([f.values for f in enumerate_grid_battery(NZ2, b)]
+            != [f.values for f in enumerate_grid_battery(
+                NZ2, GridBattery(levels=1001, seed=1, samples=10))])
 
 
 def test_sampled_battery_deterministic(NZ2):
-    b = GridBattery(levels=4, mode="sampled", seed=11, samples=10)
+    b = GridBattery(levels=1001, seed=11, samples=10)
     first = [f.values for f in enumerate_grid_battery(NZ2, b)]
     second = [f.values for f in enumerate_grid_battery(NZ2, b)]
     assert first == second
@@ -260,7 +271,9 @@ def test_sampled_battery_deterministic(NZ2):
 
 def test_default_battery(NZ2):
     b = default_battery(NZ2)
-    assert b.mode == "exhaustive" and b.levels == 6
+    assert b == GridBattery(levels=6) and not b.sampled(NZ2)
+    assert default_battery(NZ2, levels=1001, seed=4) == GridBattery(
+        levels=1001, seed=4)
 
 
 def test_char_product_bridge(LZ2, NZ2):

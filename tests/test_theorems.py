@@ -1,14 +1,18 @@
 import hashlib
+import itertools
 import json
+import random
 
 import numpy as np
 import pytest
 
 from conftest import make_lz2, make_nz2, make_t1
-from fuzzygamma import ideals, theorems, validate_structure
-from fuzzygamma.fuzzy import (FuzzySubset, GridBattery, characteristic,
-                              compose, constant_one, default_battery,
-                              enumerate_grid_battery)
+from fuzzygamma import fuzzy, ideals, theorems, validate_structure
+from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
+                              characteristic, compose, constant_one,
+                              default_battery, enumerate_grid_battery,
+                              generated_fuzzy_ideal, grid_levels,
+                              point_characteristic)
 from fuzzygamma.structure import factorizations
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
@@ -252,30 +256,79 @@ def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
 
 # --- the battery as an array --------------------------------------------
 
+def _reference_rows(S, battery):
+    """The battery's rows, stated from its definition: the grid vectors in
+    lexicographic order, or the seeded draws, then every 0/1 row (bit i of
+    the row number at element i), then the generated point ideals."""
+    if not battery.sampled(S):
+        return [list(v) for v in itertools.product(
+            grid_levels(battery.levels), repeat=S.n)]
+    rng = random.Random(battery.seed)
+    rows = [[rng.random() for _ in range(S.n)]
+            for _ in range(battery.samples)]
+    rows += [[float(bits >> i & 1) for i in range(S.n)]
+             for bits in range(2 ** S.n)]
+    rows += [list(generated_fuzzy_ideal(point_characteristic(S, a),
+                                        side).values)
+             for a in range(S.n) for side in ("right", "left")]
+    return rows
+
+
+def _battery_is_the_reference(S, battery):
+    expected = _reference_rows(S, battery)
+    W = theorems._Context(S, battery).W
+    assert W.dtype == float and W.shape == (len(expected), S.n)
+    assert W.tolist() == expected
+    assert [list(f.values)
+            for f in enumerate_grid_battery(S, battery)] == expected
+
+
 @pytest.mark.parametrize("make, levels", [
     (make_t1, 2), (make_t1, 5), (make_lz2, 3), (make_lz2, 6),
     (_left_zero3, 2), (_left_zero3, 8)])
 def test_context_battery_is_the_stream(make, levels):
-    S = make()
-    battery = GridBattery(levels=levels)
-    expected = [f.values for f in enumerate_grid_battery(S, battery)]
-    W = theorems._Context(S, battery).W
-    assert W.dtype == float and W.shape == (levels ** S.n, S.n)
-    assert W.tolist() == [list(v) for v in expected]
+    _battery_is_the_reference(make(), GridBattery(levels=levels))
 
 
 def test_context_sampled_battery_is_the_stream():
-    S = _left_zero3()
-    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
-    expected = [f.values for f in enumerate_grid_battery(S, battery)]
-    assert theorems._Context(S, battery).W.tolist() == [
-        list(v) for v in expected]
+    # ordered structures too, whose principal ideals are downward closed
+    battery = GridBattery(levels=GRID_CAP + 1, seed=7, samples=50)
+    for S in (make_t1(), make_nz2(), _left_zero3(), _null3([(1, 2)])):
+        _battery_is_the_reference(S, battery)
 
 
-def test_context_battery_cap():
-    # 1001^2 rows: past the cap, which is checked before any row is built
-    with pytest.raises(ValueError, match="cap"):
-        theorems._Context(make_nz2(), GridBattery(levels=1001))
+@pytest.fixture
+def battery_builds(monkeypatch):
+    """The (structure, battery) of every ``fuzzy.battery_array`` call."""
+    built = []
+    real = fuzzy.battery_array
+    monkeypatch.setattr(fuzzy, "battery_array",
+                        lambda S, b: built.append((S, b)) or real(S, b))
+    theorems._context.cache_clear()
+    return built
+
+
+def test_context_battery_cap(battery_builds):
+    # 1001^2 grid rows are past the cap, so the battery is sampled; the
+    # context builds it on first read of its rows, and only once
+    S, battery = make_nz2(), GridBattery(levels=1001, samples=30)
+    ctx = theorems._Context(S, battery)
+    assert battery_builds == []
+    assert ctx.W.shape == (30 + 4 + 4, 2) and ctx.W is ctx.W
+    assert battery_builds == [(S, battery)]
+
+
+def test_battery_built_only_to_locate_a_witness(battery_builds, labeled_pool):
+    # every law is decided on 0/1 rows: the registry builds no battery on
+    # the pool, and the control builds one exactly where it is refuted
+    refuted = []
+    for S in labeled_pool:
+        check_all(S)
+        assert [S for S, _ in battery_builds] == refuted, S
+        if check(S, "L8-unconditional").outcome == "refuted":
+            refuted.append(S)
+        assert [S for S, _ in battery_builds] == refuted, S
+    assert len(refuted) == 386
 
 
 def test_context_built_once_per_structure_and_battery(monkeypatch):
@@ -370,7 +423,7 @@ def test_level_cuts_are_crisp_rows_on_the_pool(labeled_pool):
 
 def test_level_cuts_are_crisp_rows_on_a_sampled_battery():
     # with b < c, the one-sided ideal roles keep only order-reversing rows
-    battery = GridBattery(levels=8, mode="sampled", seed=5, samples=3000)
+    battery = GridBattery(levels=GRID_CAP + 1, seed=5, samples=3000)
     _cuts_are_crisp_rows(theorems._Context(_null3([(1, 2)]), battery))
 
 
@@ -396,7 +449,7 @@ def test_crisp_ideals_are_role_rows_on_the_corpus(witness_corpus):
 
 def test_crisp_ideals_are_role_rows_on_a_sampled_battery(labeled_pool,
                                                           witness_corpus):
-    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
+    battery = GridBattery(levels=GRID_CAP + 1, seed=7, samples=50)
     _crisp_ideals_are_role_rows(labeled_pool + witness_corpus,
                                 lambda S: battery)
 
@@ -473,7 +526,7 @@ def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
 
 def test_crisp_screen_agrees_with_full_scan_on_a_sampled_battery(
         witness_corpus):
-    battery = GridBattery(levels=4, mode="sampled", seed=7, samples=50)
+    battery = GridBattery(levels=GRID_CAP + 1, seed=7, samples=50)
     assert _screen_agrees(witness_corpus, lambda S: battery) == {
         "meet_leq_compose", "compose_leq_meet", "chain_geq", "chain_leq",
         "chain_eq", "quasi_bound", "pred_equiv"}
@@ -502,6 +555,35 @@ def test_n4_verdicts_pinned():
                               [(1, 2), (1, 3), (2, 3)])
     assert _verdicts_sha256([band, null]) == (
         "5731dcc2a8be8c4a06f601c25754a964ac92a351d96e5ec0dc4cbc7b4cf5ada8")
+
+
+def test_n6_sampled_verdicts_pinned():
+    # n=6 is past the exhaustive cap at the default 14 levels, so both run
+    # the seeded sampled battery: a left-zero band (x g y = x) and the null
+    # semigroup with 1 < 2 < 3, as in the CI's console-script checks
+    elements = [f"e{i}" for i in range(6)]
+    band = validate_structure(elements, ["g"],
+                              [[[x] * 6] for x in range(6)], [])
+    null = validate_structure(elements, ["g"], [[[0] * 6]] * 6,
+                              [(1, 2), (1, 3), (2, 3)])
+    digest = hashlib.sha256()
+    refuted = []
+    for S in (band, null):
+        battery = default_battery(S, seed=1)
+        for v in check_all(S, battery) + [check(S, "L8-unconditional",
+                                                battery)]:
+            digest.update(json.dumps(v.to_dict()).encode())
+            if v.outcome == "refuted":
+                refuted.append((S, v))
+    assert digest.hexdigest() == (
+        "ab1012f3269bfaef9a18ceb10ce9988fa3eec0a34723ee41051fc28894fcebe5")
+    # only the control is refuted, on the null semigroup, at a pair of
+    # seeded draws, and the scalar calculus confirms it
+    ((S, v),) = refuted
+    assert (S, v.theorem) == (null, "L8-unconditional")
+    assert not {0.0, 1.0} >= {*v.witness["f"].values(),
+                              *v.witness["g"].values()}
+    assert replay_witness(S, v)
 
 
 def _halving_kernel(facts, F, G):
