@@ -6,9 +6,10 @@ characterized class, and witness kind.  One interpreter runs each entry on
 role rows with the numpy kernels, on the seeded draws of
 :func:`cross_validate_random`, and on one witness in :func:`replay_witness`
 through the scalar calculus of :mod:`fuzzygamma.fuzzy`.  A law is decided
-on the 0/1 rows of its roles, as statements commute with level cuts; the
-battery is built only after that screen finds a violation, to locate the
-witness a full battery scan finds first.  Conditional laws report a vacuous
+on the 0/1 rows of its roles, as statements commute with level cuts, and
+that screen reads its compositions from one table of crisp products per
+structure; the battery is built only after the screen finds a violation,
+to locate the witness a full battery scan finds first.  Conditional laws report a vacuous
 hold when their hypothesis fails.  "L8-unconditional", a deliberately
 weakened negative control, proves the harness can refute.
 """
@@ -53,6 +54,12 @@ class TheoremVerdict:
 # lists the factorizations (y, z) of a grouped by left factor,
 # ``((y, (z, ...)), ...)``, each ascending.
 
+# Entries of one pairwise cube (rows × rows × elements): the blocks of
+# ``_first_pair``, and the largest crisp product table ``_Context.screen``
+# builds (4^n·n entries, so n ≤ 8).
+_CUBE = 2_000_000
+
+
 def _compose(facts, F, G):
     """Sup-min composition of broadcast rows: out[..., a] is the max over
     factorizations (y, z) of a of min(F[..., y], G[..., z]), taken per left
@@ -96,6 +103,9 @@ class _Calculus:
         return np.array([ideals.in_class(self.S, a, name)
                          for a in range(self.S.n)])
 
+    def joint_support(self, F, G):
+        return _joint_support(self.facts, F, G)
+
 
 class _Kernels(_Calculus):
     """The numpy calculus, on stacks of rows."""
@@ -110,6 +120,29 @@ class _Kernels(_Calculus):
         for t, x, z in fuzzy.ideal_inequalities(self.S, name):
             ok &= F[:, t] >= np.minimum(F[:, x], F[:, z])
         return ok
+
+
+class _CrispTable(_Kernels):
+    """The numpy calculus on 0/1 rows only.  A row is read as its bit index
+    (bit i at element i), and its products and joint supports with any other
+    0/1 row are gathered from two tables over every pair of 0/1 rows, each
+    made by one call of the kernel it replaces."""
+
+    def __init__(self, calc: _Calculus):
+        self.S, self.facts, self.one = calc.S, calc.facts, calc.one
+        B = fuzzy.crisp_array(self.S.n)
+        self.products = _compose(self.facts, B[:, None], B[None])
+        self.supports = _joint_support(self.facts, B[:, None], B[None])
+        self.weights = 2.0 ** np.arange(self.S.n)
+
+    def _bits(self, F):
+        return (F @ self.weights).astype(np.intp)
+
+    def compose(self, F, G):
+        return self.products[self._bits(F), self._bits(G)]
+
+    def joint_support(self, F, G):
+        return self.supports[self._bits(F), self._bits(G)]
 
 
 class _Scalar(_Calculus):
@@ -177,7 +210,7 @@ def _statement(law: Law, calc, F, G=None, role: str = "any"):
     kind = law.kind
     if kind == "support_iff":
         C = calc.compose(F, G)
-        return (C > 0) != _joint_support(calc.facts, F, G), ()
+        return (C > 0) != calc.joint_support(F, G), ()
     if kind in _PAIR_KINDS:
         M, C = np.minimum(F, G), calc.compose(F, G)
         bad = M > C if kind == "meet_leq_compose" else C > M
@@ -216,6 +249,13 @@ class _Context:
         self.calc = _Kernels(S)
         self._crisp = fuzzy.crisp_array(S.n)
         self._roles: dict[tuple[str, int], np.ndarray] = {}
+
+    @cached_property
+    def screen(self) -> _Kernels:
+        """The calculus the crisp screen runs with: the crisp product table
+        while it fits one pairwise cube, else the kernels themselves."""
+        n = self.S.n
+        return _CrispTable(self.calc) if 4 ** n * n <= _CUBE else self.calc
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -277,7 +317,7 @@ def _first_pair(calc, law: Law, F, G):
 
     Chunked over rows of F, so the pairwise cube never exceeds a few MB.
     """
-    blk = max(1, 2_000_000 // max(1, G.shape[0] * G.shape[1]))
+    blk = max(1, _CUBE // max(1, G.shape[0] * G.shape[1]))
     for i0 in range(0, F.shape[0], blk):
         bad, values = _statement(law, calc, F[i0:i0 + blk, None], G[None])
         if bad.any():
@@ -295,12 +335,14 @@ def _fails(ctx: _Context, law: Law) -> bool:
     {f∘g >= t} = {f >= t}∘{g >= t}, so a statement that fails on rows
     fails on their cuts at some level t > 0 (README "Concepts" gives t for
     each kind).  Every cut of a role's row is a crisp row of that role, and
-    every crisp row of a role is one of its battery rows.
+    every crisp row of a role is one of its battery rows.  A sup-min product
+    of crisp rows is a crisp row again, so ``ctx.screen`` reads every
+    composition made here from its product table, below its size bound.
     """
     if law.kind in _PAIR_KINDS:
-        return _first_pair(ctx.calc, law,
+        return _first_pair(ctx.screen, law,
                            *map(ctx.crisp_rows, law.roles)) is not None
-    return any(_statement(law, ctx.calc, ctx.crisp_rows(role),
+    return any(_statement(law, ctx.screen, ctx.crisp_rows(role),
                           role=role)[0].any() for role in law.roles)
 
 

@@ -389,6 +389,54 @@ def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
         assert _kernel_matches_scalar(S, F, G), S
 
 
+def test_crisp_tables_match_the_kernels_and_the_oracle(labeled_pool,
+                                                       witness_corpus):
+    # every pair of 0/1 rows, the constant one (the last row) included: the
+    # product table against the scalar oracle pair by pair and against the
+    # kernel row by row, the support table against the support kernel row
+    # by row, read as one broadcast stack, row by row and with calc.one
+    for S in labeled_pool + witness_corpus:
+        calc = theorems._CrispTable(theorems._Kernels(S))
+        B = fuzzy.crisp_array(S.n)
+        fs = [FuzzySubset(S, row) for row in B]
+        P = calc.compose(B[:, None], B[None])
+        assert P.tolist() == [[list(compose(f, g).values) for g in fs]
+                              for f in fs], S
+        E = calc.joint_support(B[:, None], B[None])
+        for i, f in enumerate(B):
+            assert np.array_equal(
+                P[i], theorems._compose(calc.facts, f, B)), S
+            assert np.array_equal(calc.compose(f, B), P[i]), S
+            assert np.array_equal(
+                E[i], theorems._joint_support(calc.facts, f, B)), S
+            assert np.array_equal(calc.joint_support(f, B), E[i]), S
+        assert np.array_equal(calc.compose(B, calc.one), P[:, -1]), S
+        assert np.array_equal(calc.compose(calc.one, B), P[-1]), S
+
+
+def _counted(calls, kernel):
+    def counted(*args):
+        calls.append(kernel.__name__)
+        return kernel(*args)
+    return counted
+
+
+def test_check_all_makes_one_kernel_call_of_each_kind(monkeypatch,
+                                                      labeled_pool):
+    # every registry law holds on the pool, so check_all only screens, and
+    # the screen reads every composition and joint support from the two
+    # tables its context builds
+    calls = []
+    for name in ("_compose", "_joint_support"):
+        monkeypatch.setattr(theorems, name,
+                            _counted(calls, getattr(theorems, name)))
+    theorems._context.cache_clear()
+    for S in labeled_pool:
+        calls.clear()
+        assert all(v.outcome == "holds" for v in check_all(S)), S
+        assert calls == ["_compose", "_joint_support"], S
+
+
 # --- crisp-cut screen of every battery statement ------------------------
 
 ROLES = ("any", "right", "left", "one")
@@ -557,15 +605,21 @@ def test_n4_verdicts_pinned():
         "5731dcc2a8be8c4a06f601c25754a964ac92a351d96e5ec0dc4cbc7b4cf5ada8")
 
 
+def _band_and_null(n):
+    """A left-zero band (x g y = x) and the null semigroup with 1 < 2 < 3,
+    on n elements, as in the CI's console-script checks."""
+    elements = [f"e{i}" for i in range(n)]
+    band = validate_structure(elements, ["g"],
+                              [[[x] * n] for x in range(n)], [])
+    null = validate_structure(elements, ["g"], [[[0] * n]] * n,
+                              [(1, 2), (1, 3), (2, 3)])
+    return band, null
+
+
 def test_n6_sampled_verdicts_pinned():
     # n=6 is past the exhaustive cap at the default 14 levels, so both run
-    # the seeded sampled battery: a left-zero band (x g y = x) and the null
-    # semigroup with 1 < 2 < 3, as in the CI's console-script checks
-    elements = [f"e{i}" for i in range(6)]
-    band = validate_structure(elements, ["g"],
-                              [[[x] * 6] for x in range(6)], [])
-    null = validate_structure(elements, ["g"], [[[0] * 6]] * 6,
-                              [(1, 2), (1, 3), (2, 3)])
+    # the seeded sampled battery
+    band, null = _band_and_null(6)
     digest = hashlib.sha256()
     refuted = []
     for S in (band, null):
@@ -584,6 +638,24 @@ def test_n6_sampled_verdicts_pinned():
     assert not {0.0, 1.0} >= {*v.witness["f"].values(),
                               *v.witness["g"].values()}
     assert replay_witness(S, v)
+
+
+def test_screen_past_the_table_bound_composes_through_the_kernels(
+        monkeypatch):
+    # at n=9 the crisp product table would hold 4^9·9 entries, more than
+    # one pairwise cube, so the screen is the kernels themselves and no
+    # table is built; the verdicts are those of the screen before tables
+    built = []
+    monkeypatch.setattr(theorems, "_CrispTable",
+                        _counted(built, theorems._CrispTable))
+    theorems._context.cache_clear()
+    structures = _band_and_null(9)
+    assert _verdicts_sha256(structures) == (
+        "eeb6b1f5e30e8ab6df86e026815d072bc8b0232f25bed3f0efc989b9249ec18d")
+    for S in structures:
+        ctx = theorems._Context(S, default_battery(S))
+        assert ctx.screen is ctx.calc
+    assert built == []
 
 
 def _halving_kernel(facts, F, G):
