@@ -5,9 +5,12 @@ after each assignment checks only the associativity instances that read
 the new cell.  The labeled posets on n elements (OEIS A001035) are listed
 once per n and filtered per table for two-sided compatibility, as
 bitmasks, against the pairs each strict pair forces.  Isomorphism
-reduction visits every element and operation relabeling, adequate at the
-configured caps, and drops each one at its first cell that exceeds the
-least table found so far.
+reduction tests each table once, before listing its orders: an encoding
+is (flat table, sorted order), compared lexicographically, so when a
+relabeling gives a smaller flat table no order on that table is
+canonical.  On a table that passes, each order is tested in full.  Both
+tests take the minimum over every element and operation relabeling,
+adequate at the configured caps.
 """
 
 from __future__ import annotations
@@ -168,41 +171,15 @@ def _encoding(n: int, m: int, table, leq, elems=None, ops=None):
     return flat, tuple(sorted((rank[i], rank[j]) for i, j in leq))
 
 
-def _relabeled_sign(table, rank, elems, ops, flat) -> int:
-    """-1, 0 or 1 as the relabeled flat table is below, equal to or above
-    ``flat``, decided at the first cell where they differ."""
-    k = 0
-    for x in elems:
-        Tx = table[x]
-        for g in ops:
-            Txg = Tx[g]
-            for y in elems:
-                c = rank[Txg[y]]
-                if c != flat[k]:
-                    return -1 if c < flat[k] else 1
-                k += 1
-    return 0
-
-
 def canonical_encoding(n: int, m: int, table, leq):
     """Lexicographically least encoding over all relabelings.
 
-    Each relabeling's flat table is built cell by cell and dropped at its
-    first cell that exceeds the least flat table found so far.
+    With an empty order this is the least flat table, which the
+    enumerator tests once per table before it lists that table's orders.
     """
-    best = _encoding(n, m, table, leq)
-    for elems in itertools.permutations(range(n)):
-        rank = [0] * n
-        for i, x in enumerate(elems):
-            rank[x] = i
-        for ops in itertools.permutations(range(m)):
-            sign = _relabeled_sign(table, rank, elems, ops, best[0])
-            if sign < 0:
-                best = _encoding(n, m, table, leq, elems, ops)
-            elif sign == 0:  # the flat tables tie, so the order decides
-                order = tuple(sorted((rank[i], rank[j]) for i, j in leq))
-                best = min(best, (best[0], order))
-    return best
+    return min(_encoding(n, m, table, leq, elems, ops)
+               for elems in itertools.permutations(range(n))
+               for ops in itertools.permutations(range(m)))
 
 
 def canonical_form(S: GammaStructure):
@@ -230,6 +207,9 @@ def enumerate_structures(spec: SearchSpec):
     glabels = tuple(f"g{k}" for k in range(m))
     emitted = 0
     for table in enumerate_tables(n, m):
+        if spec.up_to_iso and (_encoding(n, m, table, ())[0]
+                               != canonical_encoding(n, m, table, ())[0]):
+            continue
         for leq in enumerate_orders(n, table):
             if spec.up_to_iso and (_encoding(n, m, table, leq)
                                    != canonical_encoding(n, m, table, leq)):

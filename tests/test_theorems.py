@@ -679,9 +679,12 @@ def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
     # (test_kernel_comparison_sees_fractional_faults)
     S = _null3()
     assert all(v.outcome == "holds" for v in check_all(S))
-    monkeypatch.setattr(theorems, "_compose", kernel)
+    calls = []
+    monkeypatch.setattr(theorems, "_compose", _counted(calls, kernel))
+    theorems._context.cache_clear()  # else check_all reuses the tables
     assert {v.theorem for v in check_all(S)
             if v.outcome == "refuted"} == refuted
+    assert calls  # the screen composed through the faulty kernel
     assert {r["law"] for r in cross_validate_random(
         S, samples=2_000, seed=0)} == random_refuted
 
