@@ -114,8 +114,9 @@ def enumerate_tables(n: int, m: int):
 
 
 @functools.cache
-def _posets(n: int) -> tuple[frozenset, ...]:
-    """All labeled partial orders on n elements, bitmask-ascending."""
+def _posets(n: int) -> tuple[tuple[frozenset, int, tuple], ...]:
+    """All labeled partial orders on n elements, bitmask-ascending, each
+    with its ``_bits`` mask and its strict pairs."""
     posets = []
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
     diagonal = frozenset((i, i) for i in range(n))
@@ -127,7 +128,7 @@ def _posets(n: int) -> tuple[frozenset, ...]:
         if any((i, k) not in leq
                for i, j in rel for jj, k in rel if j == jj):
             continue
-        posets.append(leq)
+        posets.append((leq, _bits(n, leq), tuple(rel)))
     return tuple(posets)
 
 
@@ -136,24 +137,17 @@ def _bits(n: int, pairs) -> int:
     return sum(1 << (i * n + j) for i, j in pairs)
 
 
-@functools.cache
-def _poset_bits(n: int) -> tuple[tuple[int, tuple], ...]:
-    """Each poset of ``_posets(n)`` as its bitmask and its strict pairs."""
-    return tuple((_bits(n, leq), tuple((i, j) for i, j in leq if i != j))
-                 for leq in _posets(n))
-
-
 def enumerate_orders(n: int, table=None):
     """The labeled partial orders on n elements, bitmask-ascending; with a
     table, only those compatible with each operation on both sides: those
     that hold every pair their strict pairs force
     (``structure._forced_pairs``)."""
     if table is None:
-        yield from _posets(n)
+        yield from (leq for leq, _, _ in _posets(n))
         return
     forced = {p: _bits(n, pairs) for p, pairs
               in _forced_pairs(table, n, len(table[0])).items()}
-    for leq, (mask, strict) in zip(_posets(n), _poset_bits(n)):
+    for leq, mask, strict in _posets(n):
         need = 0
         for p in strict:
             need |= forced[p]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 from .fuzzy import FuzzySubset
 from .ideals import ClassificationReport
 from .structure import GammaStructure, StructureError, validate_structure
@@ -125,12 +127,4 @@ def fuzzy_from_dict(S: GammaStructure, doc: dict) -> FuzzySubset:
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:
-    classes = {}
-    for name, verdict in report.classes.items():
-        classes[name] = {
-            "holds": verdict.holds,
-            "deciders": dict(verdict.deciders),
-            "witnesses": list(verdict.witnesses),
-            "failing_element": verdict.failing_element,
-        }
-    return {"structure": report.structure, "classes": classes}
+    return asdict(report)

@@ -240,11 +240,15 @@ def one_sided_product(S: GammaStructure, A, side: str) -> frozenset[int]:
 
     This is the side convention of every right/left pair in the package:
     a right ideal absorbs the carrier on its right, a left ideal on its
-    left, and each pair is one function taking ``side``.
+    left, and each pair is one function taking ``side``.  Any other side
+    raises ``ValueError``.
     """
     M = S.carrier()
-    return (subset_product(S, A, M) if side == "right"
-            else subset_product(S, M, A))
+    if side == "right":
+        return subset_product(S, A, M)
+    if side == "left":
+        return subset_product(S, M, A)
+    raise ValueError(f"side must be 'right' or 'left', got {side!r}")
 
 
 def principal_ideal(S: GammaStructure, a: int, side: str) -> frozenset[int]:

@@ -16,9 +16,9 @@ weakened negative control, proves the harness can refute.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property, lru_cache
-from itertools import groupby
+from itertools import chain, groupby, islice
 from typing import Callable
 
 import numpy as np
@@ -42,9 +42,7 @@ class TheoremVerdict:
     battery: str = ""
 
     def to_dict(self) -> dict:
-        return {"theorem": self.theorem, "structure": self.structure,
-                "outcome": self.outcome, "vacuous": self.vacuous,
-                "witness": self.witness, "battery": self.battery}
+        return asdict(self)
 
 
 # --- the two calculi ----------------------------------------------------
@@ -577,18 +575,14 @@ def find_counterexample(theorem_id: str, n_max: int, m_max: int,
     """Stream enumerated structures through a check; first refutation or None."""
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    seen = 0
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            spec = enumeration.SearchSpec(n=n, m=m, up_to_iso=up_to_iso)
-            for S in enumeration.enumerate_structures(spec):
-                if limit is not None and seen >= limit:
-                    return None
-                seen += 1
-                battery = default_battery(S, levels=levels)
-                verdict = check(S, theorem_id, battery)
-                if verdict.outcome == "refuted":
-                    return S, verdict
+    enumeration.SearchSpec(n=1, m=1, limit=limit)  # raises if limit < 0
+    streams = (enumeration.enumerate_structures(
+                   enumeration.SearchSpec(n=n, m=m, up_to_iso=up_to_iso))
+               for n in range(1, n_max + 1) for m in range(1, m_max + 1))
+    for S in islice(chain.from_iterable(streams), limit):
+        verdict = check(S, theorem_id, default_battery(S, levels=levels))
+        if verdict.outcome == "refuted":
+            return S, verdict
     return None
 
 
@@ -639,22 +633,16 @@ def _paired_rows(calc, role, X):
     return X, calc.ideal(role, X)
 
 
-def _count(mask, bad) -> int:
-    """Failures on the rows where ``mask`` holds (one entry per row)."""
-    mask = np.reshape(mask, np.shape(mask) + (1,) * (bad.ndim - np.ndim(mask)))
-    return int(np.sum(bad & mask))
-
-
 def _count_violations(calc, law: Law, F, G) -> int:
     """How often ``law``'s statement fails on paired draws."""
     if law.kind in _PAIR_KINDS:
         (F, mf), (G, mg) = (_paired_rows(calc, role, X)
                             for role, X in zip(law.roles, (F, G)))
-        return _count(mf & mg, _statement(law, calc, F, G)[0])
+        return int(_statement(law, calc, F, G)[0][mf & mg].sum())
     total = 0
     for role in law.roles:
         X, mask = _paired_rows(calc, role, F)
-        total += _count(mask, _statement(law, calc, X, role=role)[0])
+        total += int(_statement(law, calc, X, role=role)[0][mask].sum())
     return total
 
 

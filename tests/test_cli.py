@@ -92,6 +92,16 @@ def test_non_associative_structure_exit_2(tmp_path, capsys, argv, run):
     assert capsys.readouterr().err == f"error: {library.value}\n"
 
 
+def test_validate_no_compat_accepts_incompatible_order(tmp_path, capsys):
+    # the swap table with a < b: a ≤ b but a γ a = b is not ≤ b γ a = a
+    doc = dict(SWAP2_DOC, order=[[0, 1]])
+    path = write(tmp_path, "incompat.json", doc)
+    assert main(["validate", path]) == 2
+    capsys.readouterr()
+    assert main(["validate", path, "--no-compat"]) == 0
+    assert "order-compatible: False" in capsys.readouterr().out
+
+
 def test_classify_lz2(tmp_path, capsys):
     assert main(["classify", write(tmp_path, "lz2.json", LZ2_DOC)]) == 0
     out = capsys.readouterr().out

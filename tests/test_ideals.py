@@ -31,6 +31,17 @@ def test_principal_ideal_examples(T1, LZ2, NZ2):
     assert principal_left_ideal(T1, 0) == {0}
 
 
+@pytest.mark.parametrize("call", [
+    lambda S: ideals.is_ideal(S, {0}, "bi"),
+    lambda S: ideals.principal_ideal(S, 0, "bi"),
+    lambda S: fuzzy.generated_fuzzy_ideal(FuzzySubset(S, (0.2, 0.6)), "bi"),
+], ids=["is_ideal", "principal_ideal", "generated_fuzzy_ideal"])
+def test_unknown_side_raises(LZ2, call):
+    # on the left-zero band a side read as "left" would answer quietly
+    with pytest.raises(ValueError, match="'bi'"):
+        call(LZ2)
+
+
 def test_principal_ideals_are_ideals(labeled_pool):
     for S in labeled_pool[:100]:
         for a in range(S.n):
