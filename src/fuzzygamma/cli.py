@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from itertools import islice
 
 from . import __version__, enumeration, fuzzy, ideals, serialize, theorems
 from .structure import StructureError
@@ -134,17 +135,15 @@ def cmd_enumerate(args) -> int:
         _write(args.census, "a")  # an unwritable path fails before enumerating
     counts = {name: 0 for name in ideals.CLASS_NAMES}
     total = 0
-    truncated = False
-    # run one structure past the limit, to tell whether it truncated
-    for S in enumeration.enumerate_structures(replace(spec, limit=None)):
-        if spec.limit is not None and total >= spec.limit:
-            truncated = True
-            break
+    stream = enumeration.enumerate_structures(replace(spec, limit=None))
+    for S in islice(stream, spec.limit):
         total += 1
         report = ideals.classify(S)
         for name, verdict in report.classes.items():
             if verdict.holds:
                 counts[name] += 1
+    # one structure past the limit tells whether the stream was cut
+    truncated = next(stream, None) is not None
     census = {"n": args.n, "m": args.m, "up_to_iso": args.up_to_iso,
               "total": total, "truncated": truncated, "classes": counts}
     if args.census:

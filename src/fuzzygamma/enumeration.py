@@ -199,16 +199,14 @@ def enumerate_structures(spec: SearchSpec):
     n, m = spec.n, spec.m
     labels = tuple(f"e{i}" for i in range(n))
     glabels = tuple(f"g{k}" for k in range(m))
-    emitted = 0
-    for table in enumerate_tables(n, m):
-        if spec.up_to_iso and (_encoding(n, m, table, ())[0]
-                               != canonical_encoding(n, m, table, ())[0]):
-            continue
-        for leq in enumerate_orders(n, table):
-            if spec.up_to_iso and (_encoding(n, m, table, leq)
-                                   != canonical_encoding(n, m, table, leq)):
-                continue
-            if spec.limit is not None and emitted >= spec.limit:
-                return
-            yield GammaStructure(labels, glabels, table, leq, True, True)
-            emitted += 1
+
+    def canonical(table, leq):
+        return (_encoding(n, m, table, leq)
+                == canonical_encoding(n, m, table, leq))
+
+    structures = (GammaStructure(labels, glabels, table, leq, True, True)
+                  for table in enumerate_tables(n, m)
+                  if not spec.up_to_iso or canonical(table, ())
+                  for leq in enumerate_orders(n, table)
+                  if not spec.up_to_iso or canonical(table, leq))
+    yield from itertools.islice(structures, spec.limit)

@@ -179,7 +179,10 @@ def is_order_reversing(f: FuzzySubset) -> bool:
 
 
 def is_fuzzy_ideal(f: FuzzySubset, side: str) -> bool:
-    """Order reversing, with f(x γ y) >= f(x) (right) or >= f(y) (left)."""
+    """Order reversing, with f(x γ y) >= f(x) (right) or >= f(y) (left).
+    Any other side raises ``ValueError``, as in ``one_sided_product``."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     return satisfies(f, side)
 
 

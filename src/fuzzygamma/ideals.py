@@ -68,14 +68,13 @@ class _Shared:
     """
 
     def __init__(self, S: GammaStructure):
-        self.S = S
         self.points = tuple(fuzzy.point_characteristic(S, a)
                             for a in range(S.n))
         self.one = fuzzy.constant_one(S)
         self.right = tuple(principal_ideal(S, a, "right") for a in range(S.n))
         self.left = tuple(principal_ideal(S, a, "left") for a in range(S.n))
         self._products = {}
-        self._witnesses = {}
+        self.witness = lru_cache(maxsize=None)(partial(witness, S))
 
     def compose(self, f, g):
         key = (id(f), id(g))
@@ -83,13 +82,6 @@ class _Shared:
         if out is None:
             out = self._products[key] = fuzzy.compose(f, g)
         return out
-
-    def witness(self, a: int, name: str):
-        """``witness(S, a, name)``, searched once per element and class."""
-        key = (a, name)
-        if key not in self._witnesses:
-            self._witnesses[key] = witness(self.S, a, name)
-        return self._witnesses[key]
 
 
 # one entry: the deciders of every class, and the law checks and witness

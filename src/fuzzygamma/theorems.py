@@ -25,8 +25,7 @@ import numpy as np
 
 from . import enumeration, fuzzy, ideals
 from .fuzzy import FuzzySubset, GridBattery, default_battery
-from .structure import (GammaStructure, factorizations, principal_ideal,
-                        require_checkable)
+from .structure import GammaStructure, factorizations, require_checkable
 
 # Hypothesis-dropped variants: negative controls, never part of check_all.
 NEGATIVE_CONTROL_IDS = ("L8-unconditional",)
@@ -85,9 +84,8 @@ def _joint_support(facts, F, G):
     return out
 
 
-class _Calculus:
-    """What both calculi share: the structure, its factorizations, the
-    constant one, and the element classes a statement may be made at."""
+class _Kernels:
+    """The numpy calculus, on stacks of rows."""
 
     def __init__(self, S: GammaStructure):
         self.S = S
@@ -97,19 +95,11 @@ class _Calculus:
             for pairs in factorizations(S))
         self.one = np.ones(S.n)
 
-    def elements(self, name: str) -> np.ndarray:
-        return np.array([ideals.in_class(self.S, a, name)
-                         for a in range(self.S.n)])
+    def compose(self, F, G):
+        return _compose(self.facts, F, G)
 
     def joint_support(self, F, G):
         return _joint_support(self.facts, F, G)
-
-
-class _Kernels(_Calculus):
-    """The numpy calculus, on stacks of rows."""
-
-    def compose(self, F, G):
-        return _compose(self.facts, F, G)
 
     def ideal(self, name, F):
         """Rows of F meeting every inequality of ``fuzzy.ideal_inequalities``;
@@ -126,7 +116,7 @@ class _CrispTable(_Kernels):
     0/1 row are gathered from two tables over every pair of 0/1 rows, each
     made by one call of the kernel it replaces."""
 
-    def __init__(self, calc: _Calculus):
+    def __init__(self, calc: _Kernels):
         self.S, self.facts, self.one = calc.S, calc.facts, calc.one
         B = fuzzy.crisp_array(self.S.n)
         self.products = _compose(self.facts, B[:, None], B[None])
@@ -143,16 +133,31 @@ class _CrispTable(_Kernels):
         return self.supports[self._bits(F), self._bits(G)]
 
 
-class _Scalar(_Calculus):
-    """The scalar calculus of :mod:`fuzzygamma.fuzzy`, on single rows."""
+class _Scalar:
+    """The scalar calculus of :mod:`fuzzygamma.fuzzy`, on single rows; it
+    shares no code with the kernels, so a replay does not repeat their
+    faults."""
+
+    def __init__(self, S: GammaStructure):
+        self.S = S
+        self.one = np.ones(S.n)
 
     def compose(self, f, g):
         S = self.S
         return np.array(
             fuzzy.compose(FuzzySubset(S, f), FuzzySubset(S, g)).values)
 
+    def joint_support(self, f, g):
+        return np.array([any(f[y] > 0 and g[z] > 0 for y, z in pairs)
+                         for pairs in factorizations(self.S)])
+
     def ideal(self, name, f):
         return fuzzy.satisfies(FuzzySubset(self.S, f), name)
+
+
+def _members(S: GammaStructure, name: str) -> np.ndarray:
+    """Which elements of S lie in class ``name``."""
+    return np.array([ideals.in_class(S, a, name) for a in range(S.n)])
 
 
 # --- the law table ------------------------------------------------------
@@ -232,7 +237,7 @@ def _statement(law: Law, calc, F, G=None, role: str = "any"):
     else:
         bad = X != F
     if law.at:
-        bad = bad & calc.elements(law.at)
+        bad = bad & _members(calc.S, law.at)
     return bad, ()
 
 
@@ -281,7 +286,8 @@ class _Context:
 
         Role-filtered rows come first (in ``base`` order), then the
         characteristic function of each principal ideal of the role's side,
-        which the filter may reject on a table that is not a Γ-semigroup.
+        read from ``ideals._shared``, which the filter may reject on a table
+        that is not a Γ-semigroup.
         """
         key = (role, id(base))
         if key in self._roles:
@@ -292,8 +298,8 @@ class _Context:
         elif role == "one":
             arr = np.ones((1, S.n))
         else:
-            extra = [fuzzy.characteristic(
-                S, principal_ideal(S, a, role)).values for a in range(S.n)]
+            extra = [fuzzy.characteristic(S, A).values
+                     for A in getattr(ideals._shared(S), role)]
             arr = np.concatenate([base[self.calc.ideal(role, base)],
                                   np.array(extra, dtype=float)])
         self._roles[key] = arr
@@ -407,14 +413,14 @@ def _scan(ctx: _Context, law: Law):
     """Grid mode: (holds, vacuous, witness) of one law."""
     if law.run is not None:
         return law.run(ctx)
-    if law.hypothesis and not ctx.calc.elements(law.hypothesis).all():
+    if law.hypothesis and not _members(ctx.S, law.hypothesis).all():
         return True, True, None
-    if law.at and not ctx.calc.elements(law.at).any():
+    if law.at and not _members(ctx.S, law.at).any():
         return True, True, None
     if law.iff is None:
         witness = _first_violation(ctx, law)
         return witness is None, False, witness
-    in_class = ctx.calc.elements(law.iff)
+    in_class = _members(ctx.S, law.iff)
     if not in_class.all():
         # off its class the statement must fail somewhere; where is not kept
         if _fails(ctx, law):
@@ -468,7 +474,7 @@ def _point_square(S, a, bs):
 
 
 def _ideal_criterion(ctx, name):
-    lhs = bool(ctx.calc.elements(name).all())
+    lhs = bool(_members(ctx.S, name).all())
     rhs = ideals._DECIDERS[name]["ideal"](ctx.S)
     if lhs == rhs:
         return True, False, None
@@ -569,18 +575,16 @@ def check_all(S: GammaStructure,
 
 
 def find_counterexample(theorem_id: str, n_max: int, m_max: int,
-                        limit: int | None = None,
-                        levels: int | None = None,
-                        up_to_iso: bool = True):
+                        limit: int | None = None):
     """Stream enumerated structures through a check; first refutation or None."""
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     enumeration.SearchSpec(n=1, m=1, limit=limit)  # raises if limit < 0
     streams = (enumeration.enumerate_structures(
-                   enumeration.SearchSpec(n=n, m=m, up_to_iso=up_to_iso))
+                   enumeration.SearchSpec(n=n, m=m, up_to_iso=True))
                for n in range(1, n_max + 1) for m in range(1, m_max + 1))
     for S in islice(chain.from_iterable(streams), limit):
-        verdict = check(S, theorem_id, default_battery(S, levels=levels))
+        verdict = check(S, theorem_id)
         if verdict.outcome == "refuted":
             return S, verdict
     return None
@@ -666,7 +670,7 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
     zero_rng = np.random.default_rng((seed, 1))
     laws = [(tid, law) for tid, law in LAWS.items()
             if tid in THEOREM_IDS and law.run is None
-            and all(calc.elements(name).all()
+            and all(_members(S, name).all()
                     for name in (law.hypothesis, law.iff) if name)]
     violations: list[dict] = []
     for start in range(0, samples, _CHUNK):

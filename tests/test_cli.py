@@ -243,11 +243,15 @@ def test_enumerate_census_write_failure(tmp_path, capsys, monkeypatch):
     assert swapped.is_dir()
 
 
-def test_enumerate_truncation_flag(tmp_path, capsys):
-    assert main(["enumerate", "--n", "2", "--m", "2", "--limit", "3"]) == 0
+# the (2,1) labeled stream has 20 structures
+@pytest.mark.parametrize("n, m, limit, total, truncated", [
+    (2, 2, 3, 3, True), (2, 1, 20, 20, False), (2, 1, 19, 19, True),
+    (2, 1, 0, 0, True)])
+def test_enumerate_truncation_flag(capsys, n, m, limit, total, truncated):
+    assert main(["enumerate", "--n", str(n), "--m", str(m),
+                 "--limit", str(limit)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["truncated"]
-    assert doc["total"] == 3
+    assert (doc["total"], doc["truncated"]) == (total, truncated)
 
 
 def test_enumerate_caps(capsys):

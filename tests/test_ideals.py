@@ -4,7 +4,8 @@ import json
 import pytest
 
 import naive_oracle
-from fuzzygamma import fuzzy, ideals, serialize, theorems
+from fuzzygamma import (cli, enumeration, fuzzy, ideals, serialize,
+                        structure, theorems)
 from fuzzygamma.enumeration import SearchSpec, enumerate_structures
 from fuzzygamma.fuzzy import FuzzySubset, GridBattery, characteristic, \
     is_fuzzy_left_ideal, is_fuzzy_right_ideal
@@ -31,15 +32,21 @@ def test_principal_ideal_examples(T1, LZ2, NZ2):
     assert principal_left_ideal(T1, 0) == {0}
 
 
-@pytest.mark.parametrize("call", [
-    lambda S: ideals.is_ideal(S, {0}, "bi"),
-    lambda S: ideals.principal_ideal(S, 0, "bi"),
-    lambda S: fuzzy.generated_fuzzy_ideal(FuzzySubset(S, (0.2, 0.6)), "bi"),
-], ids=["is_ideal", "principal_ideal", "generated_fuzzy_ideal"])
-def test_unknown_side_raises(LZ2, call):
+@pytest.mark.parametrize("call, side", [
+    (lambda S, side: ideals.is_ideal(S, {0}, side), "bi"),
+    (lambda S, side: ideals.principal_ideal(S, 0, side), "bi"),
+    (lambda S, side: fuzzy.generated_fuzzy_ideal(
+        FuzzySubset(S, (0.2, 0.6)), side), "bi"),
+    (lambda S, side: fuzzy.is_fuzzy_ideal(
+        FuzzySubset(S, (0.2, 0.6)), side), "bi"),
+    (lambda S, side: fuzzy.is_fuzzy_ideal(
+        FuzzySubset(S, (0.2, 0.6)), side), "order_reversing"),
+], ids=["is_ideal", "principal_ideal", "generated_fuzzy_ideal",
+        "is_fuzzy_ideal-bi", "is_fuzzy_ideal-order_reversing"])
+def test_unknown_side_raises(LZ2, call, side):
     # on the left-zero band a side read as "left" would answer quietly
-    with pytest.raises(ValueError, match="'bi'"):
-        call(LZ2)
+    with pytest.raises(ValueError, match=f"'{side}'"):
+        call(LZ2, side)
 
 
 def test_principal_ideals_are_ideals(labeled_pool):
@@ -239,16 +246,32 @@ def test_classify_searches_each_witness_once(labeled_pool, monkeypatch,
 def test_law_checks_reuse_the_witness_searches(labeled_pool, monkeypatch,
                                               fresh_shared_state):
     # classify, then the law checks and the control on the same structure,
-    # run each (element, class) search at most once; the searches do not
-    # depend on the battery, so a small one keeps this cheap
+    # run each (element, class) search at most once, and compute each
+    # principal ideal once, in the shared state; neither depends on the
+    # battery, so a small one keeps this cheap
     calls = _counted_witness_searches(monkeypatch)
+    principal = []
+    real = structure.principal_ideal
+
+    def counted_principal(S, a, side):
+        principal.append((a, side))
+        return real(S, a, side)
+
+    for module in (cli, enumeration, fuzzy, ideals, serialize, structure,
+                   theorems):
+        if hasattr(module, "principal_ideal"):
+            monkeypatch.setattr(module, "principal_ideal", counted_principal)
+    theorems._context.cache_clear()
     battery = GridBattery(levels=3)
     for S in labeled_pool:
         calls.clear()
+        principal.clear()
         classify(S)
         theorems.check_all(S, battery)
         theorems.check(S, "L8-unconditional", battery)
         assert len(calls) == len(set(calls)), S
+        assert sorted(principal) == sorted(
+            (a, side) for a in range(S.n) for side in ("right", "left")), S
 
 
 def test_fuzzy_decider_composes_through_the_scalar_oracle(
@@ -305,3 +328,7 @@ def test_classify_reports_pinned(labeled_pool):
         "382a12539474248b09597c4f956dd5b4949bfeeb1a950d6176f3521d053fd45f")
     assert _report_sha256(enumerate_structures(SearchSpec(3, 2))) == (
         "1615d30baff3cd34a63836f09a33ec8eecfb0091e62a44a216c3962d0ab13755")
+    # m=3, where the witness memo and the order of the operations matter most
+    assert _report_sha256(enumerate_structures(
+        SearchSpec(3, 3, up_to_iso=True))) == (
+        "071dd70b78f582fcbd923cd67f797b275c1754e6a495f226b61ff47e5059060d")

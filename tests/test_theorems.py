@@ -99,11 +99,11 @@ def test_witness_replay_requires_refutation(T1):
 
 
 def test_find_counterexample_l10_none():
-    assert find_counterexample("L10", n_max=2, m_max=2, levels=6) is None
+    assert find_counterexample("L10", n_max=2, m_max=2) is None
 
 
 def test_find_counterexample_weakened_l8():
-    hit = find_counterexample("L8-unconditional", n_max=2, m_max=1, levels=6)
+    hit = find_counterexample("L8-unconditional", n_max=2, m_max=1)
     assert hit is not None
     S, verdict = hit
     assert verdict.outcome == "refuted"
@@ -111,8 +111,8 @@ def test_find_counterexample_weakened_l8():
 
 
 def test_find_counterexample_deterministic():
-    a = find_counterexample("L8-unconditional", n_max=2, m_max=1, levels=6)
-    b = find_counterexample("L8-unconditional", n_max=2, m_max=1, levels=6)
+    a = find_counterexample("L8-unconditional", n_max=2, m_max=1)
+    b = find_counterexample("L8-unconditional", n_max=2, m_max=1)
     assert a[0].digest() == b[0].digest()
     assert a[1].witness == b[1].witness
 
@@ -266,6 +266,38 @@ def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
     # patch does not reach, composes it to nonzero: replay clears the law
     # and so pins the refutation on the faulty kernel
     assert not replay_witness(S, v)
+
+
+@pytest.fixture
+def fresh_context():
+    # a context built under a patched kernel must not outlive the patch
+    theorems._context.cache_clear()
+    yield
+    theorems._context.cache_clear()
+
+
+def _all_cofactors_support(facts, F, G):
+    # a support-kernel fault: a left factor y counts only when g is positive
+    # on every cofactor of y, not on some
+    out = np.zeros(np.broadcast(F, G).shape, dtype=bool)
+    for a, groups in enumerate(facts):
+        col = out[..., a]
+        for y, zs in groups:
+            col |= (F[..., y] > 0) & (G[..., zs] > 0).all(axis=-1)
+    return out
+
+
+def test_faulty_support_kernel_refutations_do_not_replay(monkeypatch,
+                                                          fresh_context):
+    # replay computes joint supports pair by pair from the factorizations,
+    # sharing no code with the kernel, so it clears the refutations the
+    # fault causes
+    monkeypatch.setattr(theorems, "_joint_support", _all_cofactors_support)
+    S = make_nz2()
+    for tid in ("L17", "C19"):
+        v = check(S, tid)
+        assert v.outcome == "refuted", tid
+        assert not replay_witness(S, v), tid
 
 
 # --- the battery as an array --------------------------------------------
