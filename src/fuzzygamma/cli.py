@@ -28,7 +28,7 @@ def _load_json(path):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 

@@ -9,9 +9,10 @@ through the scalar calculus of :mod:`fuzzygamma.fuzzy`.  A law is decided
 on the 0/1 rows of its roles, as statements commute with level cuts, and
 that screen reads its compositions from one table of crisp products per
 structure; the battery is built only after the screen finds a violation,
-to locate the witness a full battery scan finds first.  Conditional laws report a vacuous
-hold when their hypothesis fails.  "L8-unconditional", a deliberately
-weakened negative control, proves the harness can refute.
+to locate the witness a full battery scan finds first.  A law holds when
+it has no witness; a conditional law holds vacuously, with no scan, when its
+hypothesis fails.  "L8-unconditional", a weakened negative control, proves
+the harness can refute.
 """
 
 from __future__ import annotations
@@ -171,8 +172,8 @@ class Law:
     other kinds scan f over each role in turn, with that role's composition
     word from ``chain`` (one word, or one per role).  A role is "any",
     "right" or "left" (battery rows that are fuzzy one-sided ideals, plus
-    the principal ideals) or "one" (the constant one).  ``run`` replaces the
-    interpreter for the laws that are not battery statements.
+    the principal ideals) or "one" (the constant one).  ``run`` decides the
+    laws that are not battery statements from the structure alone.
     """
 
     description: str
@@ -244,7 +245,7 @@ def _statement(law: Law, calc, F, G=None, role: str = "any"):
 # --- grid mode ----------------------------------------------------------
 
 class _Context:
-    """Shared per-(structure, battery) state for all law checks."""
+    """Shared per-(structure, battery) state for battery statement checks."""
 
     def __init__(self, S: GammaStructure, battery: GridBattery):
         self.S = S
@@ -410,22 +411,15 @@ def _first_violation(ctx: _Context, law: Law):
 
 
 def _scan(ctx: _Context, law: Law):
-    """Grid mode: (holds, vacuous, witness) of one law."""
-    if law.run is not None:
-        return law.run(ctx)
-    if law.hypothesis and not _members(ctx.S, law.hypothesis).all():
-        return True, True, None
-    if law.at and not _members(ctx.S, law.at).any():
-        return True, True, None
+    """Grid mode: the witness refuting one battery statement, or None."""
     if law.iff is None:
-        witness = _first_violation(ctx, law)
-        return witness is None, False, witness
+        return _first_violation(ctx, law)
     in_class = _members(ctx.S, law.iff)
     if not in_class.all():
         # off its class the statement must fail somewhere; where is not kept
         if _fails(ctx, law):
-            return True, False, None
-        return False, False, {
+            return None
+        return {
             "law": "class_mismatch", "class": law.iff,
             "definitional": False, "criterion": True,
             "criterion_kind": f"chain:{law.chain}" if law.chain else law.kind,
@@ -435,19 +429,17 @@ def _scan(ctx: _Context, law: Law):
     if witness is None and law.equality:
         clause = "equality"
         witness = _first_violation(ctx, _equality_clause(law))
-    if witness is None:
-        return True, False, None
-    witness["theorem_direction"] = clause
-    return False, False, witness
+    if witness is not None:
+        witness["theorem_direction"] = clause
+    return witness
 
 
 # --- the laws that are not battery statements ---------------------------
-# Each probe returns the witness of one candidate, or None; the scan takes
-# the first witness and replay re-runs the probe on the witness's candidate.
+# Each probe reads the structure and returns one candidate's witness or None;
+# ``_first`` keeps the first; replay re-runs the probe on the candidate.
 
 def _first(witnesses):
-    witness = next((w for w in witnesses if w is not None), None)
-    return witness is None, False, witness
+    return next(filter(None, witnesses), None)
 
 
 def _char_bridge(S, A, sides):
@@ -473,14 +465,13 @@ def _point_square(S, a, bs):
     return None
 
 
-def _ideal_criterion(ctx, name):
-    lhs = bool(_members(ctx.S, name).all())
-    rhs = ideals._DECIDERS[name]["ideal"](ctx.S)
+def _ideal_criterion(S, name):
+    lhs = bool(_members(S, name).all())
+    rhs = ideals._DECIDERS[name]["ideal"](S)
     if lhs == rhs:
-        return True, False, None
-    return False, False, {"law": "class_mismatch", "class": name,
-                          "definitional": lhs, "criterion": rhs,
-                          "criterion_kind": "ideal"}
+        return None
+    return {"law": "class_mismatch", "class": name, "definitional": lhs,
+            "criterion": rhs, "criterion_kind": "ideal"}
 
 
 LAWS = {
@@ -499,14 +490,13 @@ LAWS = {
     "L10": Law("composition of a right and a left ideal lies below their "
                "meet", "compose_leq_meet", ("right", "left")),
     "L11": Law("crisp ideal status matches the characteristic function's",
-               run=lambda ctx: _first(
-                   _char_bridge(ctx.S, A, ("right", "left"))
-                   for A in ideals.all_subsets(ctx.S))),
+               run=lambda S: _first(_char_bridge(S, A, ("right", "left"))
+                                    for A in ideals.all_subsets(S))),
     "L12": Law("regularity equals the principal-ideal product criterion",
-               run=lambda ctx: _ideal_criterion(ctx, "regular")),
+               run=lambda S: _ideal_criterion(S, "regular")),
     "L15": Law("intra-regularity equals the reversed principal-ideal "
                "criterion",
-               run=lambda ctx: _ideal_criterion(ctx, "intra_regular")),
+               run=lambda S: _ideal_criterion(S, "intra_regular")),
     "L17": Law("composition is nonzero exactly on jointly supported "
                "factorizations", "support_iff", ("any", "any"), label="fg"),
     "C18": Law("right composition with one: nonzero iff a factor is "
@@ -514,9 +504,8 @@ LAWS = {
     "C19": Law("left composition with one: nonzero iff a cofactor is "
                "supported", "support_iff", ("one", "any"), label="1g"),
     "L20": Law("squared point characteristic detects square factorizations",
-               run=lambda ctx: _first(
-                   _point_square(ctx.S, a, range(ctx.S.n))
-                   for a in range(ctx.S.n))),
+               run=lambda S: _first(_point_square(S, a, range(S.n))
+                                    for a in range(S.n))),
     "L21": Law("membership is dominated by the square at squared elements",
                "square_bound", chain="ff"),
     "L22": Law("sandwiched square dominates wherever the two-sided square "
@@ -558,10 +547,14 @@ def check(S: GammaStructure, theorem_id: str,
         raise KeyError(f"unknown theorem id {theorem_id!r}")
     require_checkable(S, "law checks require")
     battery = battery if battery is not None else default_battery(S)
-    ok, vacuous, witness = _scan(_context(S, battery), LAWS[theorem_id])
+    law = LAWS[theorem_id]
+    vacuous = bool(law.hypothesis and not _members(S, law.hypothesis).all()
+                   or law.at and not _members(S, law.at).any())
+    witness = (None if vacuous else law.run(S) if law.run
+               else _scan(_context(S, battery), law))
     return TheoremVerdict(
         theorem=theorem_id, structure=S.digest(),
-        outcome="holds" if ok else "refuted", vacuous=vacuous,
+        outcome="holds" if witness is None else "refuted", vacuous=vacuous,
         witness=witness, battery=battery.describe(S))
 
 
@@ -579,7 +572,7 @@ def find_counterexample(theorem_id: str, n_max: int, m_max: int,
     """Stream enumerated structures through a check; first refutation or None."""
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    enumeration.SearchSpec(n=1, m=1, limit=limit)  # raises if limit < 0
+    enumeration.SearchSpec(n=n_max, m=m_max, limit=limit)  # raises up front
     streams = (enumeration.enumerate_structures(
                    enumeration.SearchSpec(n=n, m=m, up_to_iso=True))
                for n in range(1, n_max + 1) for m in range(1, m_max + 1))

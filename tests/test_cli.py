@@ -75,6 +75,22 @@ def test_deeply_nested_json_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_over_long_integer_exit_2(tmp_path, capsys):
+    # past Python's integer digit limit where it has one, else out of range
+    spath = tmp_path / "bigint.json"
+    spath.write_text(json.dumps(dict(T1_DOC, order=[[9, 0]]))
+                     .replace("9", "9" * 5000))
+    fpath = tmp_path / "bigint-f.json"
+    fpath.write_text(json.dumps({"e": 1}).replace("1", "1" * 5000))
+    t1 = write(tmp_path, "t1.json", T1_DOC)
+    for argv in (["validate", str(spath)], ["classify", str(spath)],
+                 ["check", str(spath), "--all"],
+                 ["compose", t1, str(fpath), t1]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 # x γ y = the other element of x: order-compatible, not associative
 SWAP2_DOC = {"elements": ["a", "b"], "gammas": ["g"],
              "table": [[[1, 1]], [[0, 0]]], "order": []}

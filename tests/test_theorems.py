@@ -129,6 +129,12 @@ def test_find_counterexample_limit_caps_the_checks(monkeypatch):
         assert len(calls) == k
     with pytest.raises(ValueError, match="limit must be non-negative"):
         find_counterexample("L10", n_max=2, m_max=2, limit=-1)
+    # the caps are checked before the first structure, not when reached
+    calls.clear()
+    for n_max, m_max in ((5, 1), (2, 4), (0, 1)):
+        with pytest.raises(ValueError):
+            find_counterexample("L10", n_max=n_max, m_max=m_max)
+    assert calls == []
 
 
 def test_battery_description_recorded(NZ2):
@@ -397,6 +403,26 @@ def test_context_built_once_per_structure_and_battery(monkeypatch):
     check(make_nz2(), "L8-unconditional")
     assert built[1:] == [(S, GridBattery(levels=3)),
                          (make_nz2(), default_battery(make_nz2()))]
+
+
+def test_vacuous_and_probe_laws_build_no_context(monkeypatch):
+    built = []
+    init = theorems._Context.__init__
+
+    def counted(self, S, battery):
+        built.append(S)
+        init(self, S, battery)
+
+    monkeypatch.setattr(theorems._Context, "__init__", counted)
+    theorems._context.cache_clear()
+    S = make_nz2()
+    for tid in ("L8", "L9", "C31"):
+        v = check(S, tid)
+        assert v.outcome == "holds" and v.vacuous, tid
+    for tid in ("L11", "L12", "L15", "L20"):
+        v = check(S, tid)
+        assert v.outcome == "holds" and not v.vacuous, tid
+    assert built == []
 
 
 def _seeded_rows(rng, S):
