@@ -251,15 +251,10 @@ class _Context:
         self.S = S
         self.battery = battery
         self.calc = _Kernels(S)
-        self._crisp = fuzzy.crisp_array(S.n)
-        self._roles: dict[tuple[str, int], np.ndarray] = {}
-
-    @cached_property
-    def screen(self) -> _Kernels:
-        """The calculus the crisp screen runs with: the crisp product table
-        while it fits one pairwise cube, else the kernels themselves."""
-        n = self.S.n
-        return _CrispTable(self.calc) if 4 ** n * n <= _CUBE else self.calc
+        self.crisp = {role: self._rows(role, fuzzy.crisp_array(S.n))
+                      for role in ("any", "one", "right", "left")}
+        self.screen = (_CrispTable(self.calc) if 4 ** S.n * S.n <= _CUBE
+                       else self.calc)
 
     @cached_property
     def W(self) -> np.ndarray:
@@ -276,35 +271,25 @@ class _Context:
         Every 0/1 row is a battery row, and a crisp ideal's passes the
         filter on any table (L11), so no other crisp rows are added.
         """
-        return self._role_rows(role, self.W)
+        return self._rows(role, self.W)
 
-    def crisp_rows(self, role: str) -> np.ndarray:
-        """The 0/1 rows of ``members(role)``, in no particular order."""
-        return self._role_rows(role, self._crisp)
-
-    def _role_rows(self, role: str, base: np.ndarray) -> np.ndarray:
-        """The rows of ``base`` for a quantifier role, cached per base.
+    def _rows(self, role: str, base: np.ndarray) -> np.ndarray:
+        """The rows of ``base`` for a quantifier role.
 
         Role-filtered rows come first (in ``base`` order), then the
         characteristic function of each principal ideal of the role's side,
         read from ``ideals._shared``, which the filter may reject on a table
         that is not a Γ-semigroup.
         """
-        key = (role, id(base))
-        if key in self._roles:
-            return self._roles[key]
         S = self.S
         if role == "any":
-            arr = base
-        elif role == "one":
-            arr = np.ones((1, S.n))
-        else:
-            extra = [fuzzy.characteristic(S, A).values
-                     for A in getattr(ideals._shared(S), role)]
-            arr = np.concatenate([base[self.calc.ideal(role, base)],
-                                  np.array(extra, dtype=float)])
-        self._roles[key] = arr
-        return arr
+            return base
+        if role == "one":
+            return np.ones((1, S.n))
+        extra = [fuzzy.characteristic(S, A).values
+                 for A in getattr(ideals._shared(S), role)]
+        return np.concatenate([base[self.calc.ideal(role, base)],
+                               np.array(extra, dtype=float)])
 
 
 # one entry: check_all and any check that follows it on the same structure
@@ -346,14 +331,14 @@ def _fails(ctx: _Context, law: Law) -> bool:
     """
     if law.kind in _PAIR_KINDS:
         return _first_pair(ctx.screen, law,
-                           *map(ctx.crisp_rows, law.roles)) is not None
-    return any(_statement(law, ctx.screen, ctx.crisp_rows(role),
+                           *map(ctx.crisp.get, law.roles)) is not None
+    return any(_statement(law, ctx.screen, ctx.crisp[role],
                           role=role)[0].any() for role in law.roles)
 
 
-def _locate_pair(ctx: _Context, law: Law):
-    """The first (i, j, a, values) where a pair law fails on ``members``
-    rows F[i], G[j], found in two exact stages.
+def _locate_pair(ctx: _Context, law: Law, F, G):
+    """The first (i, j, a, values) where a pair law fails on rows F[i],
+    G[j] of its roles' ``members``, found in two exact stages.
 
     If f and g violate the law at a, so do f and the cut {g >= t}: at
     t = min(f(a), g(a)) for meet above composition, at t = (f∘g)(a) for
@@ -361,18 +346,24 @@ def _locate_pair(ctx: _Context, law: Law):
     for support_iff.  Every such cut is a crisp row of g's role, so the
     first f row violating against those rows is the first f row with any
     violating g; only that row is then scanned against every g.  Call it
-    only where the law fails.
+    only where the crisp screen found a violation.
     """
-    F, G = map(ctx.members, law.roles)
-    i = _first_pair(ctx.calc, law, F, ctx.crisp_rows(law.roles[1]))[0]
-    _, j, a, values = _first_pair(ctx.calc, law, F[i:i + 1], G)
-    return i, j, a, values
+    hit = _first_pair(ctx.calc, law, F, ctx.crisp[law.roles[1]])
+    if hit is None:
+        raise _disagreement(ctx, law)
+    _, j, a, values = _first_pair(ctx.calc, law, F[hit[0]:hit[0] + 1], G)
+    return hit[0], j, a, values
+
+
+def _disagreement(ctx: _Context, law: Law) -> RuntimeError:
+    return RuntimeError(f"crisp screen and battery scan disagree on "
+                        f"{law.description!r} for structure {ctx.S.digest()}")
 
 
 def _first_violation(ctx: _Context, law: Law):
     """The witness of the first battery row (or pair) where ``law`` fails,
     or None.  The battery is scanned only after the crisp screen reports a
-    violation, which the scan then finds."""
+    violation, and a scan that then finds none raises."""
     if not _fails(ctx, law):
         return None
     S = ctx.S
@@ -381,7 +372,7 @@ def _first_violation(ctx: _Context, law: Law):
         w[_LABEL_KEYS[law.kind]] = law.label
     if law.kind in _PAIR_KINDS:
         F, G = map(ctx.members, law.roles)
-        i, j, a, values = _locate_pair(ctx, law)
+        i, j, a, values = _locate_pair(ctx, law, F, G)
         w.update(f=ctx.row_dict(F[i]), g=ctx.row_dict(G[j]),
                  element=S.elements[a])
         w.update(values)
@@ -407,7 +398,7 @@ def _first_violation(ctx: _Context, law: Law):
             w["gamma"] = S.gammas[idx[2]]
         w.update((k, v[idx].item()) for k, v in values)
         return w
-    return None
+    raise _disagreement(ctx, law)
 
 
 def _scan(ctx: _Context, law: Law):

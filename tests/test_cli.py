@@ -50,6 +50,19 @@ def test_validate_rejects_boolean_order_pair(tmp_path, capsys, order):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ([T1_DOC], "must be a JSON object"),
+    ({k: v for k, v in T1_DOC.items() if k != "order"}, "missing 'order'"),
+    (dict(NZ2_DOC, order=[[0, 5]]), "(0, 5) out of range"),
+])
+def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, message):
+    assert main(["validate", write(tmp_path, "bad.json", doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    # one error line, no traceback
+    assert len(err.splitlines()) == 1
+
+
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/file.json"]) == 2
 
@@ -122,6 +135,10 @@ def test_classify_lz2(tmp_path, capsys):
     assert main(["classify", write(tmp_path, "lz2.json", LZ2_DOC)]) == 0
     out = capsys.readouterr().out
     assert "regular: positive" in out
+    assert main(["classify", write(tmp_path, "nz2.json", NZ2_DOC)]) == 0
+    out = capsys.readouterr().out
+    assert "  regular: negative" in out
+    assert "failing element: a" in out
 
 
 def test_classify_json_schema(tmp_path, capsys):

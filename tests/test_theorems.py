@@ -37,6 +37,8 @@ def test_registry_completeness():
 def test_unknown_id_rejected(T1):
     with pytest.raises(KeyError):
         check(T1, "T99")
+    with pytest.raises(KeyError):
+        find_counterexample("NOPE", 1, 1)
 
 
 def test_check_requires_associative():
@@ -251,7 +253,7 @@ def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
         F, G = (ctx.members(role) for role in law.roles)
         expected = _full_support_scan(ctx.calc, F, G)
         assert expected is not None
-        assert theorems._locate_pair(ctx, law) == expected + ([],), tid
+        assert theorems._locate_pair(ctx, law, F, G) == expected + ([],), tid
 
 
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
@@ -304,6 +306,73 @@ def test_faulty_support_kernel_refutations_do_not_replay(monkeypatch,
         v = check(S, tid)
         assert v.outcome == "refuted", tid
         assert not replay_witness(S, v), tid
+
+
+@pytest.mark.parametrize("tid", ["L21", "L17"])
+def test_screen_and_scan_disagreement_raises(monkeypatch, fresh_context,
+                                             tid):
+    # a context warmed under a faulty kernel keeps a screen that finds
+    # violations; the scan, through the restored kernel, finds none
+    S = make_nz2()
+    battery = default_battery(S)
+    monkeypatch.setattr(theorems, "_compose", _zero_kernel)
+    theorems._context(S, battery)
+    monkeypatch.setattr(theorems, "_compose", _real_compose)
+    with pytest.raises(RuntimeError, match=S.digest()) as raised:
+        check(S, tid, battery)
+    assert theorems.LAWS[tid].description in str(raised.value)
+
+
+def test_char_bridge_witness_replays_only_under_its_fault(monkeypatch):
+    # {a} is not downward closed under z < a; a crisp test that calls it a
+    # right ideal disagrees with the characteristic function
+    S = make_nz2()
+    real = ideals.is_ideal
+    flipped = S.index("a")
+
+    def is_ideal(S, A, side):
+        return real(S, A, side) != (set(A) == {flipped})
+
+    monkeypatch.setattr(ideals, "is_ideal", is_ideal)
+    v = check(S, "L11")
+    assert v.witness == {"law": "char_bridge", "side": "right", "A": ["a"],
+                         "crisp": True, "fuzzy": False}
+    assert replay_witness(S, v)
+    monkeypatch.undo()
+    assert not replay_witness(S, v)
+
+
+def test_point_square_witness_replays_only_under_its_fault(monkeypatch):
+    S = make_nz2()
+    monkeypatch.setattr(fuzzy, "square",
+                        lambda f: fuzzy.constant_zero(f.structure))
+    v = check(S, "L20")
+    assert v.witness == {"law": "point_square", "a": "z", "b": "z",
+                         "factorization_exists": True,
+                         "composition_nonzero": False}
+    assert replay_witness(S, v)
+    monkeypatch.undo()
+    assert not replay_witness(S, v)
+
+
+@pytest.mark.parametrize("make", [make_nz2, _left_zero3])
+def test_square_bound_witness_names_its_operation(monkeypatch, fresh_context,
+                                                   make):
+    # under the zero kernel f∘f is zero, so L21 fails where f is positive
+    # at a square, and its witness names the element and the operation;
+    # only a scalar calculus with the same fault replays it
+    monkeypatch.setattr(theorems, "_compose", _zero_kernel)
+    S = make()
+    v = check(S, "L21")
+    assert v.outcome == "refuted"
+    expected = _full_scan_witness(theorems._Context(S, default_battery(S)),
+                                  theorems.LAWS["L21"])
+    assert {k: v.witness.get(k) for k in expected} == expected
+    assert v.witness["gamma"] == "g"
+    assert not replay_witness(S, v)
+    monkeypatch.setattr(fuzzy, "compose",
+                        lambda f, g: fuzzy.constant_zero(f.structure))
+    assert replay_witness(S, v)
 
 
 # --- the battery as an array --------------------------------------------
@@ -526,7 +595,7 @@ def _cuts_are_crisp_rows(ctx):
     weights = 1 << np.arange(ctx.S.n)
     for role in ROLES:
         X = ctx.members(role)
-        crisp = ctx.crisp_rows(role)
+        crisp = ctx.crisp[role]
         assert ((crisp == 0) | (crisp == 1)).all()
         # every nonempty cut of a row is its cut at one of its own values
         cuts = (X[:, None, :] >= X[:, :, None])[X > 0]
