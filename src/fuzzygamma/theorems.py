@@ -171,9 +171,9 @@ class Law:
     pair kinds quantify f over ``roles[0]`` and g over ``roles[1]``; the
     other kinds scan f over each role in turn, with that role's composition
     word from ``chain`` (one word, or one per role).  A role is "any",
-    "right" or "left" (battery rows that are fuzzy one-sided ideals, plus
-    the principal ideals) or "one" (the constant one).  ``run`` decides the
-    laws that are not battery statements from the structure alone.
+    "right" or "left" (the battery rows that are fuzzy one-sided ideals) or
+    "one" (the constant one).  ``run`` decides the laws that are not
+    battery statements from the structure alone.
     """
 
     description: str
@@ -274,22 +274,12 @@ class _Context:
         return self._rows(role, self.W)
 
     def _rows(self, role: str, base: np.ndarray) -> np.ndarray:
-        """The rows of ``base`` for a quantifier role.
-
-        Role-filtered rows come first (in ``base`` order), then the
-        characteristic function of each principal ideal of the role's side,
-        read from ``ideals._shared``, which the filter may reject on a table
-        that is not a Γ-semigroup.
-        """
-        S = self.S
+        """The rows of ``base`` that a quantifier role accepts, in order."""
         if role == "any":
             return base
         if role == "one":
-            return np.ones((1, S.n))
-        extra = [fuzzy.characteristic(S, A).values
-                 for A in getattr(ideals._shared(S), role)]
-        return np.concatenate([base[self.calc.ideal(role, base)],
-                               np.array(extra, dtype=float)])
+            return np.ones((1, self.S.n))
+        return base[self.calc.ideal(role, base)]
 
 
 # one entry: check_all and any check that follows it on the same structure
@@ -579,7 +569,8 @@ def find_counterexample(theorem_id: str, n_max: int, m_max: int,
 def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
     """Re-evaluate a refutation witness through the scalar calculus.
 
-    Returns True when the witness still demonstrates a violation.
+    Returns True when each of its rows lies in its role and the witness
+    still demonstrates a violation.
     """
     w = verdict.witness
     if verdict.outcome != "refuted" or w is None:
@@ -599,9 +590,13 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
     def row(d):
         return np.array([float(d[lbl]) for lbl in S.elements])
 
-    G = row(w["g"]) if "g" in w else None
-    bad, _ = _statement(law, _Scalar(S), row(w["f"]), G,
-                        w.get("side", law.roles[0]))
+    calc, side = _Scalar(S), w.get("side", law.roles[0])
+    pairs = zip(law.roles, (w["f"], w["g"])) if "g" in w else [(side, w["f"])]
+    rows, admitted = zip(*(_paired_rows(calc, role, row(d))
+                           for role, d in pairs))
+    if not all(admitted):  # a row outside its role witnesses nothing
+        return False
+    bad, _ = _statement(law, calc, *rows, role=side)
     at = []
     if "element" in w:
         at.append(S.index(w["element"]))

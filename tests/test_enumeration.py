@@ -226,6 +226,8 @@ def test_canonical_form_examples(T1, LZ2, NZ2):
     assert are_isomorphic(swapped, LZ2)
     assert canonical_form(LZ2) != canonical_form(NZ2)
     assert not are_isomorphic(LZ2, NZ2)
+    # sizes differ, so no canonical form is computed
+    assert not are_isomorphic(T1, LZ2)
 
 
 def test_up_to_iso_covers_labeled_space_once():

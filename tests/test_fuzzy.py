@@ -15,7 +15,9 @@ from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               enumerate_grid_battery,
                               generated_fuzzy_left_ideal,
                               generated_fuzzy_right_ideal,
-                              is_fuzzy_bi_ideal, is_fuzzy_left_ideal,
+                              is_fuzzy_bi_ideal,
+                              is_fuzzy_bi_ideal_via_composition,
+                              is_fuzzy_left_ideal,
                               is_fuzzy_left_ideal_via_composition,
                               is_fuzzy_quasi_ideal, is_fuzzy_right_ideal,
                               is_fuzzy_right_ideal_via_composition,
@@ -135,6 +137,8 @@ def test_right_left_ideal_examples(LZ2, NZ2):
     for S in (LZ2, NZ2):
         assert is_fuzzy_right_ideal(constant_one(S))
         assert is_fuzzy_left_ideal(constant_one(S))
+    with pytest.raises(ValueError, match="unknown fuzzy ideal notion"):
+        fuzzy.ideal_inequalities(LZ2, "nope")
 
 
 def test_bi_ideal_examples(T1, LZ2, NZ2):
@@ -151,6 +155,8 @@ def test_bi_ideal_requires_associativity():
     assert not S.associative
     with pytest.raises(ValueError, match="associative"):
         is_fuzzy_bi_ideal(FuzzySubset(S, (0.5, 0.5)))
+    with pytest.raises(ValueError, match="associative"):
+        is_fuzzy_bi_ideal_via_composition(FuzzySubset(S, (0.5, 0.5)))
 
 
 def test_ideal_predicates_match_naive_oracle(labeled_pool, witness_corpus):
@@ -250,6 +256,8 @@ def test_grid_battery_cap(T1, NZ2):
         "sampled battery (10000 draws, seed=0)")
     # the kind is per structure: one element stays under the cap
     assert not past_cap.sampled(T1)
+    with pytest.raises(ValueError, match="at least 2 levels"):
+        GridBattery(levels=1)
 
 
 def test_sampled_battery_seed_defaults_to_zero(NZ2):

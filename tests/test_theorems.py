@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               default_battery, enumerate_grid_battery,
                               generated_fuzzy_ideal, grid_levels,
                               point_characteristic)
-from fuzzygamma.structure import factorizations
+from fuzzygamma.structure import StructureError, factorizations
 from fuzzygamma.theorems import (NEGATIVE_CONTROL_IDS, THEOREM_IDS, check,
                                  check_all, cross_validate_random,
                                  find_counterexample, replay_witness)
@@ -88,6 +89,10 @@ def test_negative_control_refuted_on_nz2(NZ2):
     assert v.outcome == "refuted"
     assert v.witness is not None
     assert replay_witness(NZ2, v)
+    # a witness naming an element the structure lacks is rejected
+    mangled = dataclasses.replace(v, witness={**v.witness, "element": "nope"})
+    with pytest.raises(StructureError, match="nope"):
+        replay_witness(NZ2, mangled)
 
 
 def test_negative_control_excluded_from_check_all(NZ2):
@@ -160,7 +165,7 @@ def test_verdict_serialization(NZ2):
 # sha256 of the verdict JSON over the witness corpus: a changed verdict,
 # witness or scan order changes it
 CORPUS_VERDICTS_SHA256 = \
-    "6a275dbeced2dbd7c5c10b1ce79f5da4bae77317f9285bdeee46f4e911392313"
+    "9716fae90545c9b2da60a53fbc5dbe87ce0da789c61b40f2e7c4b5c840cb9899"
 
 
 def test_witness_corpus_replays_and_keeps_its_verdicts(witness_corpus,
@@ -186,12 +191,11 @@ def test_witness_corpus_replays_and_keeps_its_verdicts(witness_corpus,
         assert replay_witness(S, v), (S, v)
         refuted[v.theorem] = refuted.get(v.theorem, 0) + 1
         kinds.add(v.witness["law"])
-    assert sum(refuted.values()) == 396
+    assert sum(refuted.values()) == 219
     assert set(refuted) == {
-        "P6", "L9", "L10", "L12", "L15", "L22", "T13", "T16", "T23", "T24",
-        "T26", "T28", "P29", "C30", "C31", "QI", "L8-unconditional"}
-    assert kinds == {"class_mismatch", "meet_leq_compose", "compose_leq_meet",
-                     "chain_geq", "chain_leq", "chain_eq", "quasi_bound",
+        "P6", "L9", "L12", "L15", "L22", "T13", "T16", "T23", "T24", "T26",
+        "T28", "L8-unconditional"}
+    assert kinds == {"class_mismatch", "meet_leq_compose", "chain_leq",
                      "pred_equiv"}
     assert digest.hexdigest() == CORPUS_VERDICTS_SHA256
 
@@ -373,6 +377,40 @@ def test_square_bound_witness_names_its_operation(monkeypatch, fresh_context,
     monkeypatch.setattr(fuzzy, "compose",
                         lambda f, g: fuzzy.constant_zero(f.structure))
     assert replay_witness(S, v)
+
+
+_real_ideal = theorems._Kernels.ideal
+
+
+def _unfiltered_ideal(self, name, F):
+    # a role-filter fault: every row counts as a fuzzy one-sided ideal
+    if name in ("right", "left"):
+        return np.ones(F.shape[0], dtype=bool)
+    return _real_ideal(self, name, F)
+
+
+def test_role_filter_fault_refutations_do_not_replay(monkeypatch,
+                                                     fresh_context):
+    # the faulty roles hold rows such as f = (z: 0, a: 0.2) on NZ2, which is
+    # not order reversing; replay checks each row against its role through
+    # the scalar predicates, so it clears every refutation the fault causes
+    monkeypatch.setattr(theorems._Kernels, "ideal", _unfiltered_ideal)
+    for S, laws in ((make_nz2(), {"P4", "P5", "L10", "P29", "C30", "QI"}),
+                    (make_lz2(), {"P5", "L10", "T13", "P29"})):
+        refuted = [v for v in check_all(S) if v.outcome == "refuted"]
+        assert {v.theorem for v in refuted} == laws, S
+        assert not any(replay_witness(S, v) for v in refuted), S
+
+
+def test_pool_refutations_replay(labeled_pool):
+    # with the role filter intact every refutation on the pool, all of them
+    # the control's, replays; the corpus's are replayed above
+    refuted = [(S, v) for S in labeled_pool
+               for v in check_all(S) + [check(S, "L8-unconditional")]
+               if v.outcome == "refuted"]
+    assert {v.theorem for _, v in refuted} == {"L8-unconditional"}
+    assert len(refuted) == 386
+    assert all(replay_witness(S, v) for S, v in refuted)
 
 
 # --- the battery as an array --------------------------------------------
@@ -709,16 +747,42 @@ def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
 
 def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
     assert _screen_agrees(witness_corpus, default_battery) == {
-        "meet_leq_compose", "compose_leq_meet", "chain_geq", "chain_leq",
-        "chain_eq", "quasi_bound", "pred_equiv"}
+        "meet_leq_compose", "chain_leq", "chain_eq", "pred_equiv"}
 
 
 def test_crisp_screen_agrees_with_full_scan_on_a_sampled_battery(
         witness_corpus):
     battery = GridBattery(levels=GRID_CAP + 1, seed=7, samples=50)
     assert _screen_agrees(witness_corpus, lambda S: battery) == {
-        "meet_leq_compose", "compose_leq_meet", "chain_geq", "chain_leq",
-        "chain_eq", "quasi_bound", "pred_equiv"}
+        "meet_leq_compose", "chain_leq", "chain_eq", "pred_equiv"}
+
+
+def _ones_kernel(facts, F, G):
+    # a kernel fault that composes every pair to the constant one
+    return np.ones(np.broadcast(F, G).shape)
+
+
+def test_ones_kernel_refutes_the_ideal_inequality_laws(monkeypatch,
+                                                       fresh_context):
+    # no corpus structure refutes L10, P29, C30, C31 or QI, which follow
+    # from the ideal inequalities alone; under a kernel that composes to one
+    # they fail on every structure, with witnesses of the four kinds that
+    # only a scalar calculus with the same fault replays
+    monkeypatch.setattr(theorems, "_compose", _ones_kernel)
+    structures = [make_t1(), make_lz2(), _left_zero3()]
+    laws = {"L10", "T13", "P29", "C30", "C31", "QI"}
+    refuted = [(S, v) for S in structures for v in check_all(S)
+               if v.theorem in laws and v.outcome == "refuted"]
+    assert len(refuted) == 3 * len(laws)
+    assert {v.witness["law"] for _, v in refuted} == {
+        "compose_leq_meet", "chain_geq", "chain_eq", "quasi_bound"}
+    assert not any(replay_witness(S, v) for S, v in refuted)
+    assert _screen_agrees(structures, default_battery) == {
+        "compose_leq_meet", "support_iff", "chain_geq", "chain_eq",
+        "quasi_bound", "pred_equiv"}
+    monkeypatch.setattr(fuzzy, "compose",
+                        lambda f, g: constant_one(f.structure))
+    assert all(replay_witness(S, v) for S, v in refuted)
 
 
 def _verdicts_sha256(structures):
