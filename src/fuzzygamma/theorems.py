@@ -3,16 +3,15 @@
 Every law is one entry of :data:`LAWS`: a statement about fuzzy subsets f
 (and g) with its quantifier roles, composition word, hypothesis or
 characterized class, and witness kind.  One interpreter runs each entry on
-role rows with the numpy kernels, on the seeded draws of
-:func:`cross_validate_random`, and on one witness in :func:`replay_witness`
-through the scalar calculus of :mod:`fuzzygamma.fuzzy`.  A law is decided
-on the 0/1 rows of its roles, as statements commute with level cuts, and
-that screen reads its compositions from one table of crisp products per
-structure; the battery is built only after the screen finds a violation,
-to locate the witness a full battery scan finds first.  A law holds when
-it has no witness; a conditional law holds vacuously, with no scan, when its
-hypothesis fails.  "L8-unconditional", a weakened negative control, proves
-the harness can refute.
+stacks of rows in any of three calculi: the numpy kernels (battery rows,
+the seeded draws of :func:`cross_validate_random`), a table of crisp
+products per structure, and the scalar calculus of :mod:`fuzzygamma.fuzzy`
+(:func:`replay_witness`).  A law is decided on the 0/1 rows of its roles,
+as statements commute with level cuts; the battery is built only after
+that screen finds a violation, to locate the witness a full battery scan
+finds first.  A law holds when it has no witness; a conditional law holds
+vacuously, with no scan, when its hypothesis fails.  "L8-unconditional", a
+weakened negative control, proves the harness can refute.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ class TheoremVerdict:
         return asdict(self)
 
 
-# --- the two calculi ----------------------------------------------------
+# --- the calculi --------------------------------------------------------
 # Rows are membership vectors stacked along leading axes that broadcast:
 # F[:, None] against G[None] gives every battery pair, two (k, n) stacks
 # give paired draws, and two (n,) vectors give one witness.  ``facts[a]``
@@ -105,9 +104,9 @@ class _Kernels:
     def ideal(self, name, F):
         """Rows of F meeting every inequality of ``fuzzy.ideal_inequalities``;
         one column comparison at a time, so memory stays O(rows)."""
-        ok = np.ones(F.shape[0], dtype=bool)
+        ok = np.ones(F.shape[:-1], dtype=bool)
         for t, x, z in fuzzy.ideal_inequalities(self.S, name):
-            ok &= F[:, t] >= np.minimum(F[:, x], F[:, z])
+            ok &= F[..., t] >= np.minimum(F[..., x], F[..., z])
         return ok
 
 
@@ -135,30 +134,45 @@ class _CrispTable(_Kernels):
 
 
 class _Scalar:
-    """The scalar calculus of :mod:`fuzzygamma.fuzzy`, on single rows; it
-    shares no code with the kernels, so a replay does not repeat their
-    faults."""
+    """The scalar calculus of :mod:`fuzzygamma.fuzzy`, row by row; it shares
+    no code with the kernels, so a replay does not repeat their faults."""
 
     def __init__(self, S: GammaStructure):
         self.S = S
         self.one = np.ones(S.n)
 
-    def compose(self, f, g):
-        S = self.S
-        return np.array(
-            fuzzy.compose(FuzzySubset(S, f), FuzzySubset(S, g)).values)
+    def _each(self, fn, *stacks):
+        # fn of each broadcast row (or pair of rows), stacked back
+        stacks = np.broadcast_arrays(*stacks)
+        rows = (X.reshape(-1, self.S.n).tolist() for X in stacks)
+        out = np.array([fn(*(FuzzySubset(self.S, r) for r in rs))
+                        for rs in zip(*rows)])
+        return out.reshape(stacks[0].shape[:-1] + out.shape[1:])
 
-    def joint_support(self, f, g):
-        return np.array([any(f[y] > 0 and g[z] > 0 for y, z in pairs)
-                         for pairs in factorizations(self.S)])
+    def compose(self, F, G):
+        return self._each(lambda f, g: fuzzy.compose(f, g).values, F, G)
 
-    def ideal(self, name, f):
-        return fuzzy.satisfies(FuzzySubset(self.S, f), name)
+    def joint_support(self, F, G):
+        return self._each(
+            lambda f, g: [any(f(y) > 0 and g(z) > 0 for y, z in pairs)
+                          for pairs in factorizations(self.S)], F, G)
+
+    def ideal(self, name, F):
+        return self._each(lambda f: fuzzy.satisfies(f, name), F)
 
 
 def _members(S: GammaStructure, name: str) -> np.ndarray:
     """Which elements of S lie in class ``name``."""
     return np.array([ideals.in_class(S, a, name) for a in range(S.n)])
+
+
+def _rows(calc, role: str, X: np.ndarray) -> np.ndarray:
+    """The rows of the stack X that ``role`` (see :class:`Law`) accepts."""
+    if role == "any":
+        return X
+    if role == "one":
+        return calc.one[None]
+    return X[calc.ideal(role, X)]
 
 
 # --- the law table ------------------------------------------------------
@@ -251,7 +265,7 @@ class _Context:
         self.S = S
         self.battery = battery
         self.calc = _Kernels(S)
-        self.crisp = {role: self._rows(role, fuzzy.crisp_array(S.n))
+        self.crisp = {role: _rows(self.calc, role, fuzzy.crisp_array(S.n))
                       for role in ("any", "one", "right", "left")}
         self.screen = (_CrispTable(self.calc) if 4 ** S.n * S.n <= _CUBE
                        else self.calc)
@@ -266,20 +280,10 @@ class _Context:
         return {lbl: float(v) for lbl, v in zip(self.S.elements, row)}
 
     def members(self, role: str) -> np.ndarray:
-        """Battery rows for a quantifier role.
-
-        Every 0/1 row is a battery row, and a crisp ideal's passes the
-        filter on any table (L11), so no other crisp rows are added.
-        """
-        return self._rows(role, self.W)
-
-    def _rows(self, role: str, base: np.ndarray) -> np.ndarray:
-        """The rows of ``base`` that a quantifier role accepts, in order."""
-        if role == "any":
-            return base
-        if role == "one":
-            return np.ones((1, self.S.n))
-        return base[self.calc.ideal(role, base)]
+        """Battery rows for a quantifier role.  Every 0/1 row is a battery
+        row, and a crisp ideal's passes the filter on any table (L11), so no
+        other crisp rows are added."""
+        return _rows(self.calc, role, self.W)
 
 
 # one entry: check_all and any check that follows it on the same structure
@@ -307,23 +311,21 @@ def _first_pair(calc, law: Law, F, G):
     return None
 
 
-def _fails(ctx: _Context, law: Law) -> bool:
-    """Whether ``law`` fails on some battery row (or pair), decided on the
-    crisp rows of its roles alone.
+def _fails(calc, crisp: dict, law: Law) -> bool:
+    """Whether ``law`` fails on some battery row (or pair), decided in
+    ``calc`` on ``crisp``, the crisp rows of each role, alone.
 
     Sup-min composition, meet and the constant one commute with level cuts,
     {f∘g >= t} = {f >= t}∘{g >= t}, so a statement that fails on rows
     fails on their cuts at some level t > 0 (README "Concepts" gives t for
     each kind).  Every cut of a role's row is a crisp row of that role, and
-    every crisp row of a role is one of its battery rows.  A sup-min product
-    of crisp rows is a crisp row again, so ``ctx.screen`` reads every
-    composition made here from its product table, below its size bound.
+    every crisp row of a role is one of its battery rows.  Crisp rows
+    compose to crisp rows, so ``calc`` may be a ``_CrispTable``.
     """
     if law.kind in _PAIR_KINDS:
-        return _first_pair(ctx.screen, law,
-                           *map(ctx.crisp.get, law.roles)) is not None
-    return any(_statement(law, ctx.screen, ctx.crisp[role],
-                          role=role)[0].any() for role in law.roles)
+        return _first_pair(calc, law, *map(crisp.get, law.roles)) is not None
+    return any(_statement(law, calc, crisp[role], role=role)[0].any()
+               for role in law.roles)
 
 
 def _locate_pair(ctx: _Context, law: Law, F, G):
@@ -354,7 +356,7 @@ def _first_violation(ctx: _Context, law: Law):
     """The witness of the first battery row (or pair) where ``law`` fails,
     or None.  The battery is scanned only after the crisp screen reports a
     violation, and a scan that then finds none raises."""
-    if not _fails(ctx, law):
+    if not _fails(ctx.screen, ctx.crisp, law):
         return None
     S = ctx.S
     w = {"law": law.kind}
@@ -398,7 +400,7 @@ def _scan(ctx: _Context, law: Law):
     in_class = _members(ctx.S, law.iff)
     if not in_class.all():
         # off its class the statement must fail somewhere; where is not kept
-        if _fails(ctx, law):
+        if _fails(ctx.screen, ctx.crisp, law):
             return None
         return {
             "law": "class_mismatch", "class": law.iff,
@@ -570,63 +572,59 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
     """Re-evaluate a refutation witness through the scalar calculus.
 
     Returns True when each of its rows lies in its role and the witness
-    still demonstrates a violation.
+    still demonstrates a violation; a ``class_mismatch`` witness is decided
+    again from the structure alone.
     """
     w = verdict.witness
     if verdict.outcome != "refuted" or w is None:
         raise ValueError("only refuted verdicts carry a replayable witness")
-    if w["law"] == "class_mismatch":
-        definitional = ideals._DECIDERS[w["class"]]["definitional"](S)
-        return definitional != w["criterion"]
     if w["law"] == "char_bridge":
         A = frozenset(S.index(lbl) for lbl in w["A"])
         return _char_bridge(S, A, [w["side"]]) is not None
     if w["law"] == "point_square":
         return _point_square(S, S.index(w["a"]), [S.index(w["b"])]) is not None
-    law = LAWS[verdict.theorem]
+    law, calc = LAWS[verdict.theorem], _Scalar(S)
+    if w["law"] == "class_mismatch":
+        # re-decided whole: a probe re-runs; an iff law's class must fail and
+        # its statement hold on its roles' crisp rows (see ``_fails``)
+        if law.run:
+            return law.run(S) is not None
+        crisp = {role: _rows(calc, role, fuzzy.crisp_array(S.n))
+                 for role in law.roles}
+        return not _members(S, law.iff).all() and not _fails(calc, crisp, law)
     if w.get("theorem_direction") == "equality":
         law = _equality_clause(law)
-
-    def row(d):
-        return np.array([float(d[lbl]) for lbl in S.elements])
-
-    calc, side = _Scalar(S), w.get("side", law.roles[0])
+    side = w.get("side", law.roles[0])
     pairs = zip(law.roles, (w["f"], w["g"])) if "g" in w else [(side, w["f"])]
-    rows, admitted = zip(*(_paired_rows(calc, role, row(d))
-                           for role, d in pairs))
-    if not all(admitted):  # a row outside its role witnesses nothing
+    rows = [_rows(calc, role, np.array([[d[lbl] for lbl in S.elements]],
+                                       dtype=float)) for role, d in pairs]
+    if not all(map(len, rows)):  # a row outside its role witnesses nothing
         return False
     bad, _ = _statement(law, calc, *rows, role=side)
-    at = []
+    at = [0]
     if "element" in w:
         at.append(S.index(w["element"]))
     if "gamma" in w:
         at.append(S.gammas.index(w["gamma"]))
-    return bool(np.asarray(bad)[tuple(at)])
+    return bool(bad[tuple(at)])
 
 
 # --- random cross-validation -------------------------------------------
 
-def _paired_rows(calc, role, X):
-    """Random mode: the draws standing for a role, and which qualify."""
-    if role == "one":
-        return calc.one, True
-    if role == "any":
-        return X, True
-    return X, calc.ideal(role, X)
-
-
 def _count_violations(calc, law: Law, F, G) -> int:
-    """How often ``law``'s statement fails on paired draws."""
-    if law.kind in _PAIR_KINDS:
-        (F, mf), (G, mg) = (_paired_rows(calc, role, X)
-                            for role, X in zip(law.roles, (F, G)))
-        return int(_statement(law, calc, F, G)[0][mf & mg].sum())
-    total = 0
-    for role in law.roles:
-        X, mask = _paired_rows(calc, role, F)
-        total += int(_statement(law, calc, X, role=role)[0][mask].sum())
-    return total
+    """How often ``law``'s statement fails on draws that lie in its roles;
+    a pair law pairs F[i] with G[i]."""
+    if law.kind not in _PAIR_KINDS:
+        return sum(int(_statement(law, calc, _rows(calc, role, F),
+                                  role=role)[0].sum()) for role in law.roles)
+    # a pair counts where both its draws lie in their roles
+    ok = np.ones(len(F), dtype=bool)
+    for role, X in zip(law.roles, (F, G)):
+        if role in ("right", "left"):
+            ok &= calc.ideal(role, X)
+    F, G = (calc.one if role == "one" else X[ok]
+            for role, X in zip(law.roles, (F, G)))
+    return int(_statement(law, calc, F, G)[0].sum())
 
 
 # Draws per batch; the batch size fixes the order of the draws.

@@ -566,6 +566,16 @@ def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
             theorems._joint_support(calc.facts, F[:, None], G[None]),
             _support_definition(S, F, G)), S
         assert _kernel_matches_scalar(S, F, G), S
+        # the scalar calculus takes the same broadcast stacks
+        scalar = theorems._Scalar(S)
+        for X, Y in ((F[:, None], G[None]), (F, calc.one), (calc.one, G)):
+            assert np.array_equal(scalar.compose(X, Y), calc.compose(X, Y)), S
+            assert np.array_equal(scalar.joint_support(X, Y),
+                                  calc.joint_support(X, Y)), S
+        for X in (F, fuzzy.crisp_array(S.n)):
+            for name in ("order_reversing", "right", "left", "bi"):
+                assert np.array_equal(scalar.ideal(name, X),
+                                      calc.ideal(name, X)), (S, name)
 
 
 def test_crisp_tables_match_the_kernels_and_the_oracle(labeled_pool,
@@ -748,6 +758,17 @@ def test_crisp_screen_agrees_with_full_scan_on_the_pool(labeled_pool):
 def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
     assert _screen_agrees(witness_corpus, default_battery) == {
         "meet_leq_compose", "chain_leq", "chain_eq", "pred_equiv"}
+    # the screen run in the scalar calculus, as replay runs it, agrees
+    for S in witness_corpus:
+        ctx = theorems._Context(S, default_battery(S))
+        scalar = theorems._Scalar(S)
+        crisp = {role: theorems._rows(scalar, role, fuzzy.crisp_array(S.n))
+                 for role in ROLES}
+        for role in ROLES:
+            assert np.array_equal(crisp[role], ctx.crisp[role]), (S, role)
+        for law in SCANS:
+            assert (theorems._fails(scalar, crisp, law)
+                    == theorems._fails(ctx.screen, ctx.crisp, law)), (S, law)
 
 
 def test_crisp_screen_agrees_with_full_scan_on_a_sampled_battery(
@@ -783,6 +804,41 @@ def test_ones_kernel_refutes_the_ideal_inequality_laws(monkeypatch,
     monkeypatch.setattr(fuzzy, "compose",
                         lambda f, g: constant_one(f.structure))
     assert all(replay_witness(S, v) for S, v in refuted)
+
+
+def test_kernel_fault_class_mismatch_witnesses_do_not_replay(monkeypatch,
+                                                            fresh_context):
+    # under the ones kernel every iff statement holds on the crisp screen,
+    # so NZ2, in none of the classes, refutes each iff law with a
+    # class_mismatch witness; replay runs the screen in the scalar calculus,
+    # where the statements fail, and replays them only under the same fault
+    monkeypatch.setattr(theorems, "_compose", _ones_kernel)
+    S = make_nz2()
+    refuted = [v for v in check_all(S) if v.outcome == "refuted"
+               and v.witness["law"] == "class_mismatch"]
+    assert {v.theorem for v in refuted} == {
+        "T13", "T16", "T23", "T24", "T26", "T28"}
+    assert not any(replay_witness(S, v) for v in refuted)
+    monkeypatch.setattr(fuzzy, "compose",
+                        lambda f, g: constant_one(f.structure))
+    assert all(replay_witness(S, v) for v in refuted)
+
+
+@pytest.mark.parametrize("tid, name", [("L12", "regular"),
+                                       ("L15", "intra_regular")])
+def test_ideal_criterion_witness_replays_only_under_its_fault(monkeypatch,
+                                                               tid, name):
+    # LZ2 is in both classes; a criterion that says otherwise refutes the
+    # law, and replay re-runs the criterion instead of reading the witness
+    S = make_lz2()
+    monkeypatch.setitem(ideals._DECIDERS[name], "ideal", lambda S: False)
+    v = check(S, tid)
+    assert v.witness == {"law": "class_mismatch", "class": name,
+                         "definitional": True, "criterion": False,
+                         "criterion_kind": "ideal"}
+    assert replay_witness(S, v)
+    monkeypatch.undo()
+    assert not replay_witness(S, v)
 
 
 def _verdicts_sha256(structures):
