@@ -1,16 +1,26 @@
 """Exhaustive generation of small ordered gamma-semigroups.
 
-Tables are filled cell by cell in row-major order by backtracking, which
-after each assignment checks only the associativity instances that read
-the new cell.  The labeled posets on n elements (OEIS A001035) are listed
-once per n and filtered per table for two-sided compatibility, as
-bitmasks, against the pairs each strict pair forces.  Isomorphism
-reduction tests each table once, before listing its orders: an encoding
-is (flat table, sorted order), compared lexicographically, so when a
-relabeling gives a smaller flat table no order on that table is
-canonical.  On a table that passes, each order is tested in full.  Both
-tests take the minimum over every element and operation relabeling,
-adequate at the configured caps.
+Single-operation tables are filled cell by cell in row-major order by
+backtracking, which after each assignment checks only the associativity
+instances that read the new cell.  An associativity instance reads at
+most two operations, so a table with m >= 2 operations is an m-tuple of
+single-operation tables whose mixed instances hold for each pair, both
+ways round; the pairs are found once, by numpy over all tables, and the
+tuples are emitted in the cell search's order (compare Distler,
+"Classification and enumeration of finite semigroups", 2010).  The
+labeled posets on n elements (OEIS A001035) are listed once per n and
+filtered per table for two-sided compatibility, as bitmasks, against the
+pairs each strict pair forces.
+
+Isomorphism reduction tests each table once, before listing its orders:
+an encoding is (flat table, sorted order), compared lexicographically, so
+when a relabeling gives a smaller flat table no order on that table is
+canonical.  That test takes the minimum over every element and operation
+relabeling, adequate at the configured caps.  On a table that passes,
+the relabelings that keep its flat table are its automorphisms, every
+other one raises it, so an order is canonical exactly when no
+automorphism lowers its sorted pairs (the orbit test of McKay,
+"Isomorph-free exhaustive generation", 1998).
 """
 
 from __future__ import annotations
@@ -18,6 +28,8 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .structure import GammaStructure, _forced_pairs
 # Never called here. perfbench traces the enumerator's validation under this
@@ -45,72 +57,138 @@ class SearchSpec:
             raise ValueError(f"limit must be non-negative, got {self.limit}")
 
 
-def enumerate_tables(n: int, m: int):
-    """All fully associative tables, lexicographic in row-major cell order.
+def _semigroups(n: int):
+    """All associative binary tables on n elements, as tuples of rows,
+    lexicographic in row-major cell order.
 
     After each cell assignment only the associativity instances that read
     the new cell are checked: the earlier state was consistent, so every
     instance that has just become fully determined contains it.
     """
-    SearchSpec(n=n, m=m)  # raises past the search caps
-    N, M = range(n), range(m)
-    cells = [(x, g, y) for x in N for g in M for y in N]
-    table = [[[-1] * n for _ in M] for _ in N]
+    N = range(n)
+    cells = [(x, y) for x in N for y in N]
+    table = [[-1] * n for _ in N]
 
-    def consistent_at(x: int, g: int, y: int) -> bool:
-        # each instance reads (a γ b) μ c == a γ (b μ c); here v = x g y
-        v = table[x][g][y]
-        Txg, Tv = table[x][g], table[v]
-        for mu in M:  # as a γ b: (x g y) μ c == x g (y μ c)
-            Tymu, Tvmu = table[y][mu], Tv[mu]
-            for c in N:
-                yc = Tymu[c]
-                if yc >= 0:
-                    left, right = Tvmu[c], Txg[yc]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
+    def consistent_at(x: int, y: int) -> bool:
+        # each instance reads (a b) c == a (b c); here v = x y
+        v = table[x][y]
+        Tx, Tv, Ty = table[x], table[v], table[y]
+        for c in N:  # as a b: (x y) c == x (y c)
+            yc = Ty[c]
+            if yc >= 0:
+                left, right = Tv[c], Tx[yc]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
         for a in N:
             Ta = table[a]
-            for gam in M:
-                Tagam = Ta[gam]
-                ax = Tagam[x]  # as b μ c: (a γ x) g y == a γ v
-                if ax >= 0:
-                    left, right = table[ax][g][y], Tagam[v]
-                    if left >= 0 and right >= 0 and left != right:
-                        return False
-                for b in N:  # as the outer left product, a γ b == x
-                    if Tagam[b] == x:
-                        by = table[b][g][y]
-                        if by >= 0:
-                            right = Tagam[by]
-                            if right >= 0 and right != v:
-                                return False
-        for b in N:  # as the outer right product, b μ c == y
-            xb = Txg[b]
+            ax = Ta[x]  # as b c: (a x) y == a v
+            if ax >= 0:
+                left, right = table[ax][y], Ta[v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+            for b in N:  # as the outer left product, a b == x
+                if Ta[b] == x:
+                    by = table[b][y]
+                    if by >= 0:
+                        right = Ta[by]
+                        if right >= 0 and right != v:
+                            return False
+        for b in N:  # as the outer right product, b c == y
+            xb = Tx[b]
             if xb < 0:
                 continue
             Tb, Txb = table[b], table[xb]
-            for mu in M:
-                Tbmu, Txbmu = Tb[mu], Txb[mu]
-                for c in N:
-                    if Tbmu[c] == y:
-                        left = Txbmu[c]
-                        if left >= 0 and left != v:
-                            return False
+            for c in N:
+                if Tb[c] == y:
+                    left = Txb[c]
+                    if left >= 0 and left != v:
+                        return False
         return True
 
     def fill(i: int):
         if i == len(cells):
-            yield tuple(tuple(tuple(row) for row in plane) for plane in table)
+            yield tuple(tuple(row) for row in table)
             return
-        x, g, y = cells[i]
+        x, y = cells[i]
         for v in N:
-            table[x][g][y] = v
-            if consistent_at(x, g, y):
+            table[x][y] = v
+            if consistent_at(x, y):
                 yield from fill(i + 1)
-        table[x][g][y] = -1
+        table[x][y] = -1
 
     yield from fill(0)
+
+
+def _compatible(singles, n: int) -> list[set]:
+    """For each single-operation table, the tables it pairs with, itself
+    included: those whose mixed instances (x A y) B z == x A (y B z) hold
+    with A and B either way round.
+
+    Each block of candidate pairs is cut by one instance at a time, as
+    numpy index arrays into the flat tables.
+    """
+    K, nn = len(singles), n * n
+    flat = np.array(singles, dtype=np.intp).ravel()  # at k nn + x n + y
+    instances = [(x * n + y, z, x * n, y * n + z)
+                 for x in range(n) for y in range(n) for z in range(n)]
+    compat = [{k} for k in range(K)]
+    step = max(1, 2 ** 16 // K)
+    for i0 in range(0, K, step):
+        block = np.arange(i0, min(i0 + step, K))
+        pairs = np.array(np.nonzero(block[:, None] < np.arange(K))) * nn
+        pairs[0] += i0 * nn
+        for (xy, z, xn, yz), d in itertools.product(instances, (0, 1)):
+            if not pairs.shape[1]:
+                break
+            A, B = pairs[d], pairs[1 - d]
+            pairs = pairs[:, flat[B + flat[A + xy] * n + z]
+                          == flat[A + xn + flat[B + yz]]]
+        for i, j in (pairs // nn).T.tolist():
+            compat[i].add(j)
+            compat[j].add(i)
+    return compat
+
+
+def enumerate_tables(n: int, m: int):
+    """All fully associative tables, lexicographic in row-major cell order.
+
+    At m = 1 these are the tables of the cell search.  At m >= 2 a table is
+    an m-tuple of single-operation tables, each two of them compatible
+    (``_compatible``); each tuple is keyed by its flat table as an integer,
+    and the sorted keys are read back as tables one at a time.
+    """
+    SearchSpec(n=n, m=m)  # raises past the search caps
+    if m == 1:
+        yield from (tuple((row,) for row in t) for t in _semigroups(n))
+        return
+    singles = list(_semigroups(n))
+    compat = _compatible(singles, n)
+    rows = list(itertools.product(range(n), repeat=n))  # ascending
+    code = {row: i for i, row in enumerate(rows)}
+    w = len(rows)
+    # a key has one base-w digit per row x γ -, most significant first, so
+    # row x of operation γ sits at digit (n - 1 - x) m + (m - 1 - γ)
+    spread = [sum(code[row] * w ** ((n - 1 - x) * m)
+                  for x, row in enumerate(t)) for t in singles]
+    keys = []
+
+    def extend(key, allowed, g):
+        if g == m:
+            keys.append(key)
+            return
+        for k in allowed:
+            extend(key + spread[k] * w ** (m - 1 - g), allowed & compat[k],
+                   g + 1)
+
+    extend(0, set(range(len(singles))), 0)
+    keys.sort()
+    for key in keys:
+        digits = []
+        for _ in range(n * m):
+            key, digit = divmod(key, w)
+            digits.append(rows[digit])
+        digits.reverse()
+        yield tuple(tuple(digits[x * m:x * m + m]) for x in range(n))
 
 
 @functools.cache
@@ -160,9 +238,9 @@ def _encoding(n: int, m: int, table, leq, elems=None, ops=None):
     ``elems[i]``, new operation k is old ``ops[k]`` (identity by default)."""
     elems, ops = elems or range(n), ops or range(m)
     rank = {x: i for i, x in enumerate(elems)}
-    flat = tuple(rank[table[x][g][y]]
-                 for x in elems for g in ops for y in elems)
-    return flat, tuple(sorted((rank[i], rank[j]) for i, j in leq))
+    flat = tuple([rank[table[x][g][y]]
+                  for x in elems for g in ops for y in elems])
+    return flat, tuple(sorted([(rank[i], rank[j]) for i, j in leq]))
 
 
 def canonical_encoding(n: int, m: int, table, leq):
@@ -187,6 +265,21 @@ def are_isomorphic(S1: GammaStructure, S2: GammaStructure) -> bool:
     return canonical_form(S1) == canonical_form(S2)
 
 
+def _automorphisms(n: int, m: int, table) -> list[tuple[int, ...]]:
+    """The element permutations of the relabelings (elements and
+    operations) that leave the flat table unchanged, identity first.
+
+    They form a group, so each one's inverse is listed too: reading
+    ``p`` as the map from old element i to new element ``p[i]`` gives the
+    same relabeled orders as reading it as ``_encoding`` does.
+    """
+    flat = _encoding(n, m, table, ())
+    return list(dict.fromkeys(
+        elems for elems in itertools.permutations(range(n))
+        for ops in itertools.permutations(range(m))
+        if _encoding(n, m, table, (), elems, ops) == flat))
+
+
 def enumerate_structures(spec: SearchSpec):
     """Structures in a deterministic order; optionally up to iso.
 
@@ -194,19 +287,26 @@ def enumerate_structures(spec: SearchSpec):
     structures are built without validation; the tests re-validate them.
     Up-to-iso mode keeps exactly the structures whose own encoding is the
     canonical one, so each isomorphism class is represented once (the
-    labeled space is complete, hence contains every class's minimum).
+    labeled space is complete, hence contains every class's minimum); the
+    module docstring says how that is decided, table first.
     """
     n, m = spec.n, spec.m
     labels = tuple(f"e{i}" for i in range(n))
     glabels = tuple(f"g{k}" for k in range(m))
 
-    def canonical(table, leq):
-        return (_encoding(n, m, table, leq)
-                == canonical_encoding(n, m, table, leq))
+    def canonical_orders(table):
+        if _encoding(n, m, table, ()) != canonical_encoding(n, m, table, ()):
+            return
+        others = _automorphisms(n, m, table)[1:]
+        for leq in enumerate_orders(n, table):
+            own = sorted(leq)
+            if all(sorted([(p[i], p[j]) for i, j in leq]) >= own
+                   for p in others):
+                yield leq
 
+    orders = (canonical_orders if spec.up_to_iso
+              else functools.partial(enumerate_orders, n))
     structures = (GammaStructure(labels, glabels, table, leq, True, True)
                   for table in enumerate_tables(n, m)
-                  if not spec.up_to_iso or canonical(table, ())
-                  for leq in enumerate_orders(n, table)
-                  if not spec.up_to_iso or canonical(table, leq))
+                  for leq in orders(table))
     yield from itertools.islice(structures, spec.limit)

@@ -63,7 +63,11 @@ def _require_same(f: FuzzySubset, g: FuzzySubset) -> None:
 
 
 def compose(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
-    """Sup-min composition: sup over factorizations of a of min(f(y), g(z))."""
+    """Sup-min composition: sup over factorizations of a of min(f(y), g(z)).
+
+    A pair with f(y) <= best cannot raise the sup, and no membership
+    exceeds 1, so a group stops once its sup reaches 1.
+    """
     _require_same(f, g)
     S = f.structure
     fv, gv = f.values, g.values
@@ -71,11 +75,16 @@ def compose(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
     for pairs in factorizations(S):
         best = 0.0
         for y, z in pairs:
-            w, u = fv[y], gv[z]
+            w = fv[y]
+            if w <= best:
+                continue
+            u = gv[z]
             if u < w:
                 w = u
             if w > best:
                 best = w
+                if best == 1.0:
+                    break
         vals.append(best)
     return _trusted(S, tuple(vals))
 

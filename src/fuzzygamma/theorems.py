@@ -611,17 +611,19 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
 
 # --- random cross-validation -------------------------------------------
 
-def _count_violations(calc, law: Law, F, G) -> int:
+def _count_violations(calc, law: Law, F, G, masks) -> int:
     """How often ``law``'s statement fails on draws that lie in its roles;
-    a pair law pairs F[i] with G[i]."""
+    a pair law pairs F[i] with G[i].  ``masks`` holds, for F and then G,
+    the rows each one-sided role accepts, filtered once per batch."""
     if law.kind not in _PAIR_KINDS:
-        return sum(int(_statement(law, calc, _rows(calc, role, F),
-                                  role=role)[0].sum()) for role in law.roles)
+        return sum(int(_statement(
+            law, calc, F if role == "any" else F[masks[0][role]],
+            role=role)[0].sum()) for role in law.roles)
     # a pair counts where both its draws lie in their roles
     ok = np.ones(len(F), dtype=bool)
-    for role, X in zip(law.roles, (F, G)):
+    for role, mask in zip(law.roles, masks):
         if role in ("right", "left"):
-            ok &= calc.ideal(role, X)
+            ok &= mask[role]
     F, G = (calc.one if role == "one" else X[ok]
             for role, X in zip(law.roles, (F, G)))
     return int(_statement(law, calc, F, G)[0].sum())
@@ -658,12 +660,15 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         # run on zero-masked rows, which have mixed supports
         Fz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, F)
         Gz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, G)
+        masks = [{role: calc.ideal(role, X) for role in ("right", "left")}
+                 for X in (F, G)]
         for tid, law in laws:
-            count = _count_violations(calc, law, F, G)
+            count = _count_violations(calc, law, F, G, masks)
             if law.equality:
-                count += _count_violations(calc, _equality_clause(law), F, G)
-            if law.kind == "support_iff":
-                count += _count_violations(calc, law, Fz, Gz)
+                count += _count_violations(calc, _equality_clause(law), F, G,
+                                           masks)
+            if law.kind == "support_iff":  # its roles are "any" and "one"
+                count += _count_violations(calc, law, Fz, Gz, ({}, {}))
             if count:
                 violations.append({"law": tid, "count": count})
     return violations

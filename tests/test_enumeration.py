@@ -62,24 +62,131 @@ def test_tables_match_full_rescan(n, m):
     assert list(enumerate_tables(n, m)) == list(_full_rescan_tables(n, m))
 
 
-@pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+def _cell_search_tables(n, m):
+    """Reference search over all m operations at once: cells in row-major
+    order, and after each cell the associativity instances that read it."""
+    N, M = range(n), range(m)
+    cells = [(x, g, y) for x in N for g in M for y in N]
+    table = [[[-1] * n for _ in M] for _ in N]
+
+    def consistent_at(x, g, y):
+        # each instance reads (a γ b) μ c == a γ (b μ c); here v = x g y
+        v = table[x][g][y]
+        Txg, Tv = table[x][g], table[v]
+        for mu in M:  # as a γ b: (x g y) μ c == x g (y μ c)
+            Tymu, Tvmu = table[y][mu], Tv[mu]
+            for c in N:
+                yc = Tymu[c]
+                if yc >= 0:
+                    left, right = Tvmu[c], Txg[yc]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+        for a in N:
+            Ta = table[a]
+            for gam in M:
+                Tagam = Ta[gam]
+                ax = Tagam[x]  # as b μ c: (a γ x) g y == a γ v
+                if ax >= 0:
+                    left, right = table[ax][g][y], Tagam[v]
+                    if left >= 0 and right >= 0 and left != right:
+                        return False
+                for b in N:  # as the outer left product, a γ b == x
+                    if Tagam[b] == x:
+                        by = table[b][g][y]
+                        if by >= 0:
+                            right = Tagam[by]
+                            if right >= 0 and right != v:
+                                return False
+        for b in N:  # as the outer right product, b μ c == y
+            xb = Txg[b]
+            if xb < 0:
+                continue
+            Tb, Txb = table[b], table[xb]
+            for mu in M:
+                Tbmu, Txbmu = Tb[mu], Txb[mu]
+                for c in N:
+                    if Tbmu[c] == y:
+                        left = Txbmu[c]
+                        if left >= 0 and left != v:
+                            return False
+        return True
+
+    def fill(i):
+        if i == len(cells):
+            yield tuple(tuple(tuple(row) for row in plane) for plane in table)
+            return
+        x, g, y = cells[i]
+        for v in N:
+            table[x][g][y] = v
+            if consistent_at(x, g, y):
+                yield from fill(i + 1)
+        table[x][g][y] = -1
+
+    yield from fill(0)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_operation_slices_match_the_cell_search(n, m):
+    # m-tuples of compatible single-operation tables, in flat-table order,
+    # are exactly the cell search's tables in its order
+    assert list(enumerate_tables(n, m)) == list(_cell_search_tables(n, m))
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 3), (3, 3), (4, 1)])
 def test_table_test_keeps_every_canonical_structure(n, m):
     # the up-to-iso stream skips a table whose flat table some relabeling
-    # lowers; filtering the labeled stream structure by structure must
-    # keep exactly the same structures, in the same order
+    # lowers, and tests orders against the table's automorphisms only;
+    # filtering the labeled stream structure by structure must keep exactly
+    # the same structures, in the same order.  A structure is canonical
+    # when no relabeling's encoding (flat table, sorted order) is lower;
+    # each table's relabeled flat tables are computed once (the identity
+    # first), and an order is relabeled only where the flat tables tie
+    relabelings = list(itertools.product(itertools.permutations(range(n)),
+                                         itertools.permutations(range(m))))
+    flats = {}
+
     def canonical(S):
-        return (enumeration._encoding(n, m, S.table, S.leq)
-                == enumeration.canonical_encoding(n, m, S.table, S.leq))
+        if S.table not in flats:
+            flats[S.table] = [enumeration._encoding(n, m, S.table, (), e, o)[0]
+                              for e, o in relabelings]
+        table_flats = flats[S.table]
+        if min(table_flats) < table_flats[0]:
+            return False
+        own = enumeration._encoding(n, m, S.table, S.leq)
+        return all(flat > own[0] or enumeration._encoding(
+                       n, m, S.table, S.leq, e, o) >= own
+                   for flat, (e, o) in zip(table_flats, relabelings))
     filtered = [S for S in enumerate_structures(SearchSpec(n=n, m=m))
                 if canonical(S)]
     assert filtered == list(enumerate_structures(
         SearchSpec(n=n, m=m, up_to_iso=True)))
 
 
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 3), (4, 1)])
+def test_automorphisms_map_the_table_onto_itself(n, m):
+    # each listed permutation p, with some permutation of the operations,
+    # maps every product onto a product: p(x g y) = p(x) g' p(y); and the
+    # list is every such p, identity first, closed under inverses
+    N, M = range(n), range(m)
+    for table in enumerate_tables(n, m):
+        autos = enumeration._automorphisms(n, m, table)
+        found = [p for p in itertools.permutations(N)
+                 if any(all(p[table[x][g][y]] == table[p[x]][ops[g]][p[y]]
+                            for x in N for g in M for y in N)
+                        for ops in itertools.permutations(M))]
+        assert autos[0] == tuple(N)
+        assert sorted(autos) == found, table
+        for p in autos:
+            assert tuple(sorted(N, key=p.__getitem__)) in autos
+
+
 def test_known_table_counts():
     # associative binary operations on a 2-element set
     assert sum(1 for _ in enumerate_tables(2, 1)) == 8
     assert sum(1 for _ in enumerate_tables(3, 1)) == 113
+    # two operations on four elements: pairs of the 3 492 single-operation
+    # tables whose mixed instances hold (CI also pins (4,3), 187 332)
+    assert sum(1 for _ in enumerate_tables(4, 2)) == 26_028
 
 
 # OEIS A023814 (labeled semigroups) and A027851 (semigroups up to

@@ -82,6 +82,10 @@ def test_compose_accepts_equal_distinct_structures(LZ2):
 
 def test_compose_matches_definition(labeled_pool):
     rng = random.Random(11)
+    # fractional rows with some members at 1.0, drawn from their own
+    # stream, reach both of compose's shortcuts: a pair whose f(y) cannot
+    # raise the sup, and a group whose sup reaches 1 before its last pair
+    frac = random.Random(12)
     levels = fuzzy.grid_levels(5)
     for S in labeled_pool:
         if S.n > 2:
@@ -89,6 +93,8 @@ def test_compose_matches_definition(labeled_pool):
         facts = factorizations(S)
         rows = [FuzzySubset(S, [rng.choice(levels) for _ in range(S.n)])
                 for _ in range(12)]
+        rows += [FuzzySubset(S, [1.0 if frac.random() < 0.3 else frac.random()
+                                 for _ in range(S.n)]) for _ in range(6)]
         for f, g in itertools.product(rows, repeat=2):
             assert compose(f, g).values == tuple(
                 max((min(f(y), g(z)) for y, z in facts[a]), default=0.0)
