@@ -124,26 +124,24 @@ def _compatible(singles, n: int) -> list[set]:
     included: those whose mixed instances (x A y) B z == x A (y B z) hold
     with A and B either way round.
 
-    Each block of candidate pairs is cut by one instance at a time, as
-    numpy index arrays into the flat tables.
+    Each block of candidate pairs (I[p], J[p]) is cut by one instance at a
+    time, both ways round, as numpy index arrays into the tables.
     """
-    K, nn = len(singles), n * n
-    flat = np.array(singles, dtype=np.intp).ravel()  # at k nn + x n + y
-    instances = [(x * n + y, z, x * n, y * n + z)
-                 for x in range(n) for y in range(n) for z in range(n)]
+    T = np.array(singles, dtype=np.intp)  # T[k, x, y] = x k y
+    K = len(T)
     compat = [{k} for k in range(K)]
     step = max(1, 2 ** 16 // K)
     for i0 in range(0, K, step):
         block = np.arange(i0, min(i0 + step, K))
-        pairs = np.array(np.nonzero(block[:, None] < np.arange(K))) * nn
-        pairs[0] += i0 * nn
-        for (xy, z, xn, yz), d in itertools.product(instances, (0, 1)):
-            if not pairs.shape[1]:
+        I, J = np.nonzero(block[:, None] < np.arange(K))
+        I += i0
+        for x, y, z in itertools.product(range(n), repeat=3):
+            if not len(I):
                 break
-            A, B = pairs[d], pairs[1 - d]
-            pairs = pairs[:, flat[B + flat[A + xy] * n + z]
-                          == flat[A + xn + flat[B + yz]]]
-        for i, j in (pairs // nn).T.tolist():
+            keep = ((T[J, T[I, x, y], z] == T[I, x, T[J, y, z]])
+                    & (T[I, T[J, x, y], z] == T[J, x, T[I, y, z]]))
+            I, J = I[keep], J[keep]
+        for i, j in zip(I.tolist(), J.tolist()):
             compat[i].add(j)
             compat[j].add(i)
     return compat

@@ -25,7 +25,8 @@ import numpy as np
 
 from . import enumeration, fuzzy, ideals
 from .fuzzy import FuzzySubset, GridBattery, default_battery
-from .structure import GammaStructure, factorizations, require_checkable
+from .structure import (GammaStructure, StructureError, factorizations,
+                        require_checkable)
 
 # Hypothesis-dropped variants: negative controls, never part of check_all.
 NEGATIVE_CONTROL_IDS = ("L8-unconditional",)
@@ -167,7 +168,12 @@ def _members(S: GammaStructure, name: str) -> np.ndarray:
 
 
 def _rows(calc, role: str, X: np.ndarray) -> np.ndarray:
-    """The rows of the stack X that ``role`` (see :class:`Law`) accepts."""
+    """The rows of the stack X that ``role`` (see :class:`Law`) accepts.
+
+    On a battery these are a role's members: every 0/1 row is a battery
+    row, and a crisp ideal's passes the filter on any table (L11), so no
+    other crisp rows are added.
+    """
     if role == "any":
         return X
     if role == "one":
@@ -279,12 +285,6 @@ class _Context:
     def row_dict(self, row) -> dict[str, float]:
         return {lbl: float(v) for lbl, v in zip(self.S.elements, row)}
 
-    def members(self, role: str) -> np.ndarray:
-        """Battery rows for a quantifier role.  Every 0/1 row is a battery
-        row, and a crisp ideal's passes the filter on any table (L11), so no
-        other crisp rows are added."""
-        return _rows(self.calc, role, self.W)
-
 
 # one entry: check_all and any check that follows it on the same structure
 # and battery share the context
@@ -330,7 +330,7 @@ def _fails(calc, crisp: dict, law: Law) -> bool:
 
 def _locate_pair(ctx: _Context, law: Law, F, G):
     """The first (i, j, a, values) where a pair law fails on rows F[i],
-    G[j] of its roles' ``members``, found in two exact stages.
+    G[j] of its roles' battery rows, found in two exact stages.
 
     If f and g violate the law at a, so do f and the cut {g >= t}: at
     t = min(f(a), g(a)) for meet above composition, at t = (f∘g)(a) for
@@ -363,7 +363,7 @@ def _first_violation(ctx: _Context, law: Law):
     if law.label:
         w[_LABEL_KEYS[law.kind]] = law.label
     if law.kind in _PAIR_KINDS:
-        F, G = map(ctx.members, law.roles)
+        F, G = (_rows(ctx.calc, role, ctx.W) for role in law.roles)
         i, j, a, values = _locate_pair(ctx, law, F, G)
         w.update(f=ctx.row_dict(F[i]), g=ctx.row_dict(G[j]),
                  element=S.elements[a])
@@ -372,7 +372,7 @@ def _first_violation(ctx: _Context, law: Law):
     # statements quantified element by element first scan in that order
     element_major = law.at or law.kind == "square_bound"
     for role in law.roles:
-        F = ctx.members(role)
+        F = _rows(ctx.calc, role, ctx.W)
         bad, values = _statement(law, ctx.calc, F, role=role)
         if not bad.any():
             continue
@@ -419,15 +419,15 @@ def _scan(ctx: _Context, law: Law):
 
 # --- the laws that are not battery statements ---------------------------
 # Each probe reads the structure and returns one candidate's witness or None;
-# ``_first`` keeps the first; replay re-runs the probe on the candidate.
+# ``_first`` keeps the first; replay runs the law again and compares.
 
 def _first(witnesses):
     return next(filter(None, witnesses), None)
 
 
-def _char_bridge(S, A, sides):
+def _char_bridge(S, A):
     fa = fuzzy.characteristic(S, A)
-    for side in sides:
+    for side in ("right", "left"):
         crisp = ideals.is_ideal(S, A, side)
         fz = fuzzy.satisfies(fa, side)
         if crisp != fz:
@@ -437,9 +437,9 @@ def _char_bridge(S, A, sides):
     return None
 
 
-def _point_square(S, a, bs):
+def _point_square(S, a):
     sq = fuzzy.square(fuzzy.point_characteristic(S, a))
-    for b in bs:
+    for b in range(S.n):
         square_above = any(S.le(b, S.table[a][g][a]) for g in range(S.m))
         if square_above != (sq.values[b] != 0.0):
             return {"law": "point_square", "a": S.elements[a],
@@ -473,7 +473,7 @@ LAWS = {
     "L10": Law("composition of a right and a left ideal lies below their "
                "meet", "compose_leq_meet", ("right", "left")),
     "L11": Law("crisp ideal status matches the characteristic function's",
-               run=lambda S: _first(_char_bridge(S, A, ("right", "left"))
+               run=lambda S: _first(_char_bridge(S, A)
                                     for A in ideals.all_subsets(S))),
     "L12": Law("regularity equals the principal-ideal product criterion",
                run=lambda S: _ideal_criterion(S, "regular")),
@@ -487,8 +487,7 @@ LAWS = {
     "C19": Law("left composition with one: nonzero iff a cofactor is "
                "supported", "support_iff", ("one", "any"), label="1g"),
     "L20": Law("squared point characteristic detects square factorizations",
-               run=lambda S: _first(_point_square(S, a, range(S.n))
-                                    for a in range(S.n))),
+               run=lambda S: _first(_point_square(S, a) for a in range(S.n))),
     "L21": Law("membership is dominated by the square at squared elements",
                "square_bound", chain="ff"),
     "L22": Law("sandwiched square dominates wherever the two-sided square "
@@ -524,12 +523,22 @@ LAWS = {
 THEOREM_IDS = tuple(tid for tid in LAWS if tid not in NEGATIVE_CONTROL_IDS)
 
 
+def _battery(S: GammaStructure, battery: GridBattery | None) -> GridBattery:
+    """The battery law checks of S run on, once S is checkable.  Every
+    battery holds all 2^n 0/1 rows, and L11 runs over every subset, so
+    past ``fuzzy.GRID_CAP`` of them no law is checked."""
+    require_checkable(S, "law checks require")
+    if 2 ** S.n > fuzzy.GRID_CAP:
+        raise StructureError(f"law checks read all 2^{S.n} 0/1 rows, more "
+                             f"than fuzzy.GRID_CAP = {fuzzy.GRID_CAP}")
+    return battery if battery is not None else default_battery(S)
+
+
 def check(S: GammaStructure, theorem_id: str,
           battery: GridBattery | None = None) -> TheoremVerdict:
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    require_checkable(S, "law checks require")
-    battery = battery if battery is not None else default_battery(S)
+    battery = _battery(S, battery)
     law = LAWS[theorem_id]
     vacuous = bool(law.hypothesis and not _members(S, law.hypothesis).all()
                    or law.at and not _members(S, law.at).any())
@@ -544,8 +553,7 @@ def check(S: GammaStructure, theorem_id: str,
 def check_all(S: GammaStructure,
               battery: GridBattery | None = None) -> list[TheoremVerdict]:
     """Every registry law in registry order (negative controls excluded)."""
-    require_checkable(S, "law checks require")
-    battery = battery if battery is not None else default_battery(S)
+    battery = _battery(S, battery)
     _context(S, battery)  # built here, so each check below finds it cached
     return [check(S, tid, battery) for tid in THEOREM_IDS]
 
@@ -572,23 +580,19 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
     """Re-evaluate a refutation witness through the scalar calculus.
 
     Returns True when each of its rows lies in its role and the witness
-    still demonstrates a violation; a ``class_mismatch`` witness is decided
-    again from the structure alone.
+    still demonstrates a violation.  A law with a ``run`` replays when its
+    probe, run again, returns this very witness; a ``class_mismatch``
+    witness of an iff law is decided again from the structure alone.
     """
     w = verdict.witness
     if verdict.outcome != "refuted" or w is None:
         raise ValueError("only refuted verdicts carry a replayable witness")
-    if w["law"] == "char_bridge":
-        A = frozenset(S.index(lbl) for lbl in w["A"])
-        return _char_bridge(S, A, [w["side"]]) is not None
-    if w["law"] == "point_square":
-        return _point_square(S, S.index(w["a"]), [S.index(w["b"])]) is not None
     law, calc = LAWS[verdict.theorem], _Scalar(S)
+    if law.run:
+        return law.run(S) == w
     if w["law"] == "class_mismatch":
-        # re-decided whole: a probe re-runs; an iff law's class must fail and
-        # its statement hold on its roles' crisp rows (see ``_fails``)
-        if law.run:
-            return law.run(S) is not None
+        # its class must fail and its statement hold on its roles' crisp
+        # rows (see ``_fails``)
         crisp = {role: _rows(calc, role, fuzzy.crisp_array(S.n))
                  for role in law.roles}
         return not _members(S, law.iff).all() and not _fails(calc, crisp, law)
@@ -611,19 +615,17 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
 
 # --- random cross-validation -------------------------------------------
 
-def _count_violations(calc, law: Law, F, G, masks) -> int:
+def _count_violations(calc, law: Law, F, G) -> int:
     """How often ``law``'s statement fails on draws that lie in its roles;
-    a pair law pairs F[i] with G[i].  ``masks`` holds, for F and then G,
-    the rows each one-sided role accepts, filtered once per batch."""
+    a pair law pairs F[i] with G[i]."""
     if law.kind not in _PAIR_KINDS:
-        return sum(int(_statement(
-            law, calc, F if role == "any" else F[masks[0][role]],
-            role=role)[0].sum()) for role in law.roles)
+        return sum(int(_statement(law, calc, _rows(calc, role, F),
+                                  role=role)[0].sum()) for role in law.roles)
     # a pair counts where both its draws lie in their roles
     ok = np.ones(len(F), dtype=bool)
-    for role, mask in zip(law.roles, masks):
+    for role, X in zip(law.roles, (F, G)):
         if role in ("right", "left"):
-            ok &= mask[role]
+            ok &= calc.ideal(role, X)
     F, G = (calc.one if role == "one" else X[ok]
             for role, X in zip(law.roles, (F, G)))
     return int(_statement(law, calc, F, G)[0].sum())
@@ -660,15 +662,12 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         # run on zero-masked rows, which have mixed supports
         Fz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, F)
         Gz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, G)
-        masks = [{role: calc.ideal(role, X) for role in ("right", "left")}
-                 for X in (F, G)]
         for tid, law in laws:
-            count = _count_violations(calc, law, F, G, masks)
+            count = _count_violations(calc, law, F, G)
             if law.equality:
-                count += _count_violations(calc, _equality_clause(law), F, G,
-                                           masks)
-            if law.kind == "support_iff":  # its roles are "any" and "one"
-                count += _count_violations(calc, law, Fz, Gz, ({}, {}))
+                count += _count_violations(calc, _equality_clause(law), F, G)
+            if law.kind == "support_iff":
+                count += _count_violations(calc, law, Fz, Gz)
             if count:
                 violations.append({"law": tid, "count": count})
     return violations

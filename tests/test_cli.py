@@ -193,6 +193,19 @@ def test_check_sampled_battery_needs_seed(tmp_path, capsys):
                                          "seed=3)")
 
 
+def test_law_checks_past_the_crisp_row_cap_exit_2(tmp_path, capsys):
+    # 2^20 0/1 rows pass GRID_CAP; classification reads no rows
+    n = 20
+    path = write(tmp_path, "null20.json", {
+        "elements": [f"e{i}" for i in range(n)], "gammas": ["g"],
+        "table": [[[0] * n]] * n, "order": [[1, 2], [1, 3], [2, 3]]})
+    for flags in (["--all"], ["--theorem", "L11"]):
+        assert main(["check", path, "--seed", "1", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: law checks") and "GRID_CAP" in err
+    assert main(["classify", path]) == 0
+
+
 def test_check_unknown_theorem(tmp_path, capsys):
     assert main(["check", write(tmp_path, "t1.json", T1_DOC),
                  "--theorem", "T99"]) == 2

@@ -254,7 +254,7 @@ def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
     ctx = theorems._Context(S, default_battery(S))
     for tid in ("L17", "C18", "C19"):
         law = theorems.LAWS[tid]
-        F, G = (ctx.members(role) for role in law.roles)
+        F, G = (theorems._rows(ctx.calc, role, ctx.W) for role in law.roles)
         expected = _full_support_scan(ctx.calc, F, G)
         assert expected is not None
         assert theorems._locate_pair(ctx, law, F, G) == expected + ([],), tid
@@ -269,7 +269,7 @@ def test_faulty_kernel_refutes_l17_at_first_full_scan_hit(monkeypatch,
     v = check(S, "L17", battery)
     assert v.outcome == "refuted"
     ctx = theorems._Context(S, battery)
-    W = ctx.members("any")
+    W = theorems._rows(ctx.calc, "any", ctx.W)
     i, j, a = _full_support_scan(ctx.calc, W, W)
     assert v.witness == {"law": "support_iff", "variant": "fg",
                          "f": ctx.row_dict(W[i]), "g": ctx.row_dict(W[j]),
@@ -329,19 +329,24 @@ def test_screen_and_scan_disagreement_raises(monkeypatch, fresh_context,
 
 def test_char_bridge_witness_replays_only_under_its_fault(monkeypatch):
     # {a} is not downward closed under z < a; a crisp test that calls it a
-    # right ideal disagrees with the characteristic function
+    # right ideal disagrees with the characteristic function.  The fault
+    # flips {z, a} as well, but replay re-runs the probe, so only its first
+    # witness replays
     S = make_nz2()
     real = ideals.is_ideal
-    flipped = S.index("a")
+    flipped = ({S.index("a")}, {S.index("z"), S.index("a")})
 
     def is_ideal(S, A, side):
-        return real(S, A, side) != (set(A) == {flipped})
+        return real(S, A, side) != (set(A) in flipped)
 
     monkeypatch.setattr(ideals, "is_ideal", is_ideal)
     v = check(S, "L11")
     assert v.witness == {"law": "char_bridge", "side": "right", "A": ["a"],
                          "crisp": True, "fuzzy": False}
     assert replay_witness(S, v)
+    later = {"law": "char_bridge", "side": "right", "A": ["a", "z"],
+             "crisp": False, "fuzzy": True}
+    assert not replay_witness(S, dataclasses.replace(v, witness=later))
     monkeypatch.undo()
     assert not replay_witness(S, v)
 
@@ -355,6 +360,9 @@ def test_point_square_witness_replays_only_under_its_fault(monkeypatch):
                          "factorization_exists": True,
                          "composition_nonzero": False}
     assert replay_witness(S, v)
+    # a true disagreement under the fault, but not the probe's first
+    later = dict(v.witness, a="a")
+    assert not replay_witness(S, dataclasses.replace(v, witness=later))
     monkeypatch.undo()
     assert not replay_witness(S, v)
 
@@ -642,7 +650,7 @@ def _null3(order=()):
 def _cuts_are_crisp_rows(ctx):
     weights = 1 << np.arange(ctx.S.n)
     for role in ROLES:
-        X = ctx.members(role)
+        X = theorems._rows(ctx.calc, role, ctx.W)
         crisp = ctx.crisp[role]
         assert ((crisp == 0) | (crisp == 1)).all()
         # every nonempty cut of a row is its cut at one of its own values
@@ -696,8 +704,8 @@ def _first_full_hit(ctx, law):
     in a scan of every battery row, element-major where the statement is
     made element by element, or None."""
     for role in law.roles:
-        bad, _ = theorems._statement(law, ctx.calc, ctx.members(role),
-                                     role=role)
+        bad, _ = theorems._statement(
+            law, ctx.calc, theorems._rows(ctx.calc, role, ctx.W), role=role)
         hits = [tuple(int(v) for v in h) for h in np.argwhere(bad)]
         if hits and (law.at or law.kind == "square_bound"):
             return role, min(hits, key=lambda h: (h[1], h[0]) + h[2:])
@@ -711,7 +719,7 @@ def _full_scan_witness(ctx, law):
     pair) finds first, or None."""
     S = ctx.S
     if law.kind in theorems._PAIR_KINDS:
-        F, G = map(ctx.members, law.roles)
+        F, G = (theorems._rows(ctx.calc, role, ctx.W) for role in law.roles)
         full = theorems._first_pair(ctx.calc, law, F, G)
         if full is None:
             return None
@@ -724,7 +732,7 @@ def _full_scan_witness(ctx, law):
     role, idx = hit
     names = (S.elements, S.gammas)
     w = {"side": None if role == "any" else role,
-         "f": ctx.row_dict(ctx.members(role)[idx[0]])}
+         "f": ctx.row_dict(theorems._rows(ctx.calc, role, ctx.W)[idx[0]])}
     w.update(zip(("element", "gamma"),
                  (labels[k] for labels, k in zip(names, idx[1:]))))
     return w
@@ -875,6 +883,18 @@ def _band_and_null(n):
     null = validate_structure(elements, ["g"], [[[0] * n]] * n,
                               [(1, 2), (1, 3), (2, 3)])
     return band, null
+
+
+def test_law_checks_stop_past_the_crisp_row_cap():
+    # every battery holds all 2^n 0/1 rows, 2^20 of them pass GRID_CAP, and
+    # the rule covers every law, the probes too
+    _, null = _band_and_null(20)
+    for run in (check_all, lambda S: check(S, "L11"),
+                lambda S: check(S, "L12")):
+        with pytest.raises(StructureError, match="GRID_CAP"):
+            run(null)
+    band19, _ = _band_and_null(19)
+    assert theorems._battery(band19, None) == default_battery(band19)
 
 
 def test_n6_sampled_verdicts_pinned():
