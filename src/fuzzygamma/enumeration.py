@@ -1,26 +1,38 @@
 """Exhaustive generation of small ordered gamma-semigroups.
 
-Single-operation tables are filled cell by cell in row-major order by
-backtracking, which after each assignment checks only the associativity
-instances that read the new cell.  An associativity instance reads at
-most two operations, so a table with m >= 2 operations is an m-tuple of
-single-operation tables whose mixed instances hold for each pair, both
-ways round; the pairs are found once, by numpy over all tables, and the
-tuples are emitted in the cell search's order (compare Distler,
-"Classification and enumeration of finite semigroups", 2010).  The
-labeled posets on n elements (OEIS A001035) are listed once per n and
-filtered per table for two-sided compatibility, as bitmasks, against the
-pairs each strict pair forces.
+Single-operation tables come from one cell search, which fills cells in
+row-major order, checks after each assignment only the associativity
+instances that read the new cell, and keeps only lex-leaders: the tables
+whose flat table no element relabeling lowers (the symmetry-breaking form
+of McKay's orderly generation, "Isomorph-free exhaustive generation",
+1998).  A relabeling whose image of the filled cells, read in row-major
+order while both the cell and its image are filled, first differs from the
+table by a smaller value lowers every completion, so the node is pruned;
+at a complete table the relabelings still tied are its automorphisms.  So
+the search yields exactly the canonical tables, in lexicographic order.
+Every labeled table is a relabeling of exactly one of them, so the labeled
+tables are the canonical tables' orbits under element relabeling, merged
+and sorted.
 
-Isomorphism reduction tests each table once, before listing its orders:
-an encoding is (flat table, sorted order), compared lexicographically, so
-when a relabeling gives a smaller flat table no order on that table is
-canonical.  That test takes the minimum over every element and operation
-relabeling, adequate at the configured caps.  On a table that passes,
-the relabelings that keep its flat table are its automorphisms, every
-other one raises it, so an order is canonical exactly when no
-automorphism lowers its sorted pairs (the orbit test of McKay,
-"Isomorph-free exhaustive generation", 1998).
+An associativity instance reads at most two operations, so a table with
+m >= 2 operations is an m-tuple of single-operation tables whose mixed
+instances hold for each pair, both ways round; the pairs are found once,
+by numpy over all tables, and the tuples are emitted in the cell search's
+order (compare Distler, "Classification and enumeration of finite
+semigroups", 2010).  The labeled posets on n elements (OEIS A001035) are
+built once per n, each from one on n - 1 elements, and filtered per table
+for two-sided compatibility, as bitmasks, against the pairs each strict
+pair forces.
+
+Up to isomorphism an encoding is (flat table, sorted order), compared
+lexicographically, so when a relabeling gives a smaller flat table no
+order on that table is canonical.  At m = 1 the canonical tables are the
+search's; at m >= 2 each table is tested once, before its orders are
+listed, by the minimum over every element and operation relabeling,
+adequate at the configured caps.  On a canonical table the relabelings
+that keep its flat table are its automorphisms, every other one raises it,
+so an order is canonical exactly when no automorphism lowers its sorted
+pairs (McKay's orbit test).
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ from .structure import validate_structure  # noqa: F401
 
 MAX_N = 4
 MAX_M = 3
+MAX_ISO_N = 5  # the cap on n up to isomorphism at m = 1
 
 
 @dataclass(frozen=True)
@@ -50,24 +63,32 @@ class SearchSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ValueError("carrier and operation family must be nonempty")
-        if self.n > MAX_N or self.m > MAX_M:
+        max_n = MAX_ISO_N if self.up_to_iso and self.m == 1 else MAX_N
+        if self.n > max_n or self.m > MAX_M:
             raise ValueError(
-                f"search caps exceeded (n <= {MAX_N}, m <= {MAX_M})")
+                f"search caps exceeded (n <= {MAX_N}, m <= {MAX_M}; "
+                f"n <= {MAX_ISO_N} up to isomorphism at m = 1)")
         if self.limit is not None and self.limit < 0:
             raise ValueError(f"limit must be non-negative, got {self.limit}")
 
 
-def _semigroups(n: int):
-    """All associative binary tables on n elements, as tuples of rows,
-    lexicographic in row-major cell order.
+@functools.cache
+def _canonical_semigroups(n: int) -> tuple[tuple[tuple, tuple], ...]:
+    """The associative binary tables on n elements that no element
+    relabeling lowers, as tuples of rows, lexicographic in row-major cell
+    order; each with its automorphisms, identity first.
 
     After each cell assignment only the associativity instances that read
     the new cell are checked: the earlier state was consistent, so every
-    instance that has just become fully determined contains it.
+    instance that has just become fully determined contains it.  Then each
+    live relabeling p (new element i is old ``p[i]``) is compared with the
+    table as the module docstring says: a lower first difference prunes the
+    node, a higher one drops p for the subtree, and a tie keeps p, to
+    resume at the same flat position below.
     """
     N = range(n)
-    cells = [(x, y) for x in N for y in N]
     table = [[-1] * n for _ in N]
+    flat = [-1] * (n * n)
 
     def consistent_at(x: int, y: int) -> bool:
         # each instance reads (a b) c == a (b c); here v = x y
@@ -105,30 +126,74 @@ def _semigroups(n: int):
                         return False
         return True
 
-    def fill(i: int):
-        if i == len(cells):
-            yield tuple(tuple(row) for row in table)
+    def still_live(live, last: int):
+        """The relabelings that tie the table on its filled prefix, each
+        with the position to resume at; None when one lowers it."""
+        kept = []
+        for p, rank, src, k in live:
+            while (k <= last and flat[src[k]] >= 0
+                   and rank[flat[src[k]]] == flat[k]):
+                k += 1
+            if k > last or flat[src[k]] < 0:
+                kept.append((p, rank, src, k))
+            elif rank[flat[src[k]]] < flat[k]:
+                return None
+        return kept
+
+    def fill(i: int, live):
+        if i == n * n:
+            yield (tuple(tuple(row) for row in table),
+                   (tuple(N),) + tuple(p for p, _, _, _ in live))
             return
-        x, y = cells[i]
+        x, y = divmod(i, n)
         for v in N:
-            table[x][y] = v
+            table[x][y] = flat[i] = v
             if consistent_at(x, y):
-                yield from fill(i + 1)
-        table[x][y] = -1
+                kept = still_live(live, i)
+                if kept is not None:
+                    yield from fill(i + 1, kept)
+        table[x][y] = flat[i] = -1
 
-    yield from fill(0)
+    # each relabeling with its inverse, the flat position each position
+    # reads, and the position to resume at; the identity is dropped
+    relabelings = [(p, tuple(sorted(N, key=p.__getitem__)),
+                    tuple(p[k // n] * n + p[k % n] for k in range(n * n)), 0)
+                   for p in itertools.permutations(N)][1:]
+    return tuple(fill(0, relabelings))
 
 
-def _compatible(singles, n: int) -> list[set]:
-    """For each single-operation table, the tables it pairs with, itself
-    included: those whose mixed instances (x A y) B z == x A (y B z) hold
-    with A and B either way round.
+def _semigroups(n: int) -> list[list[int]]:
+    """All associative binary tables on n elements, lexicographic in
+    row-major cell order: the orbits of the canonical tables under element
+    relabeling, merged.  A table is the list of its rows' indices into
+    ``itertools.product(range(n), repeat=n)``, the rows in ascending order.
+
+    Each relabeled table is keyed by its flat table read as a base-n
+    integer, so the distinct keys, sorted, are the lexicographic order.
+    """
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+    rank = np.argsort(perms, axis=1)
+    weights = n ** np.arange(n * n - 1, -1, -1)
+    keys = set()
+    for table, _ in _canonical_semigroups(n):
+        # images[q, i n + j] = rank_q[T[p_q[i], p_q[j]]]: T relabeled by q
+        cells = np.array(table)[perms[:, :, None], perms[:, None, :]]
+        images = np.take_along_axis(rank, cells.reshape(len(perms), -1), 1)
+        keys.update((images @ weights).tolist())
+    w = n ** n
+    return (np.array(sorted(keys))[:, None]
+            // w ** np.arange(n - 1, -1, -1) % w).tolist()
+
+
+def _compatible(T, n: int) -> list[set]:
+    """For each single-operation table ``T[k]``, the tables it pairs with,
+    itself included: those whose mixed instances (x A y) B z == x A (y B z)
+    hold with A and B either way round.
 
     Each block of candidate pairs (I[p], J[p]) is cut by one instance at a
     time, both ways round, as numpy index arrays into the tables.
     """
-    T = np.array(singles, dtype=np.intp)  # T[k, x, y] = x k y
-    K = len(T)
+    K = len(T)  # T[k, x, y] = x k y
     compat = [{k} for k in range(K)]
     step = max(1, 2 ** 16 // K)
     for i0 in range(0, K, step):
@@ -150,24 +215,24 @@ def _compatible(singles, n: int) -> list[set]:
 def enumerate_tables(n: int, m: int):
     """All fully associative tables, lexicographic in row-major cell order.
 
-    At m = 1 these are the tables of the cell search.  At m >= 2 a table is
-    an m-tuple of single-operation tables, each two of them compatible
-    (``_compatible``); each tuple is keyed by its flat table as an integer,
-    and the sorted keys are read back as tables one at a time.
+    At m = 1 these are ``_semigroups``.  At m >= 2 a table is an m-tuple of
+    single-operation tables, each two of them compatible (``_compatible``);
+    each tuple is keyed by its flat table as an integer, and the sorted keys
+    are read back as tables one at a time.
     """
     SearchSpec(n=n, m=m)  # raises past the search caps
-    if m == 1:
-        yield from (tuple((row,) for row in t) for t in _semigroups(n))
-        return
-    singles = list(_semigroups(n))
-    compat = _compatible(singles, n)
+    singles = _semigroups(n)
     rows = list(itertools.product(range(n), repeat=n))  # ascending
-    code = {row: i for i, row in enumerate(rows)}
+    if m == 1:
+        planes = [(row,) for row in rows]
+        yield from (tuple(map(planes.__getitem__, t)) for t in singles)
+        return
+    compat = _compatible(np.array(rows)[singles], n)
     w = len(rows)
     # a key has one base-w digit per row x γ -, most significant first, so
     # row x of operation γ sits at digit (n - 1 - x) m + (m - 1 - γ)
-    spread = [sum(code[row] * w ** ((n - 1 - x) * m)
-                  for x, row in enumerate(t)) for t in singles]
+    spread = [sum(r * w ** ((n - 1 - x) * m) for x, r in enumerate(t))
+              for t in singles]
     keys = []
 
     def extend(key, allowed, g):
@@ -192,19 +257,29 @@ def enumerate_tables(n: int, m: int):
 @functools.cache
 def _posets(n: int) -> tuple[tuple[frozenset, int, tuple], ...]:
     """All labeled partial orders on n elements, bitmask-ascending, each
-    with its ``_bits`` mask and its strict pairs."""
+    with its ``_bits`` mask and its strict pairs.
+
+    Each extends a partial order on the first n - 1 elements by element
+    n - 1, strictly above a down-set D and below an up-set U of it: D and U
+    are disjoint and each d in D lies below each u in U, which is what
+    transitivity through n - 1 asks.
+    """
+    if n == 0:
+        return ((frozenset(), 0, ()),)
+    top = n - 1
+    subsets = [set(S) for k in range(n)
+               for S in itertools.combinations(range(top), k)]
     posets = []
-    offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    diagonal = frozenset((i, i) for i in range(n))
-    for bits in range(2 ** len(offdiag)):
-        rel = {p for k, p in enumerate(offdiag) if bits >> k & 1}
-        leq = frozenset(rel) | diagonal
-        if any((j, i) in rel for i, j in rel):
-            continue
-        if any((i, k) not in leq
-               for i, j in rel for jj, k in rel if j == jj):
-            continue
-        posets.append((leq, _bits(n, leq), tuple(rel)))
+    for leq, _, strict in _posets(top):
+        downs = [D for D in subsets if all(a in D for a, b in leq if b in D)]
+        ups = [U for U in subsets if all(b in U for a, b in leq if a in U)]
+        for D, U in itertools.product(downs, ups):
+            if D & U or any((d, u) not in leq for d in D for u in U):
+                continue
+            new = tuple([(d, top) for d in D] + [(top, u) for u in U])
+            order = leq | {(top, top), *new}
+            posets.append((order, _bits(n, order), strict + new))
+    posets.sort(key=lambda poset: poset[1])
     return tuple(posets)
 
 
@@ -245,7 +320,8 @@ def canonical_encoding(n: int, m: int, table, leq):
     """Lexicographically least encoding over all relabelings.
 
     With an empty order this is the least flat table, which the
-    enumerator tests once per table before it lists that table's orders.
+    enumerator tests once per table at m >= 2 before it lists that table's
+    orders.
     """
     return min(_encoding(n, m, table, leq, elems, ops)
                for elems in itertools.permutations(range(n))
@@ -292,19 +368,30 @@ def enumerate_structures(spec: SearchSpec):
     labels = tuple(f"e{i}" for i in range(n))
     glabels = tuple(f"g{k}" for k in range(m))
 
-    def canonical_orders(table):
-        if _encoding(n, m, table, ()) != canonical_encoding(n, m, table, ()):
+    def canonical_tables():
+        """Each canonical table, with its automorphisms."""
+        if m == 1:
+            for table, autos in _canonical_semigroups(n):
+                yield tuple((row,) for row in table), autos
             return
-        others = _automorphisms(n, m, table)[1:]
+        for table in enumerate_tables(n, m):
+            if _encoding(n, m, table, ()) == canonical_encoding(n, m, table,
+                                                                ()):
+                yield table, _automorphisms(n, m, table)
+
+    def canonical_orders(table, autos):
         for leq in enumerate_orders(n, table):
             own = sorted(leq)
             if all(sorted([(p[i], p[j]) for i, j in leq]) >= own
-                   for p in others):
+                   for p in autos[1:]):
                 yield leq
 
-    orders = (canonical_orders if spec.up_to_iso
-              else functools.partial(enumerate_orders, n))
+    if spec.up_to_iso:
+        pairs = ((table, leq) for table, autos in canonical_tables()
+                 for leq in canonical_orders(table, autos))
+    else:
+        pairs = ((table, leq) for table in enumerate_tables(n, m)
+                 for leq in enumerate_orders(n, table))
     structures = (GammaStructure(labels, glabels, table, leq, True, True)
-                  for table in enumerate_tables(n, m)
-                  for leq in orders(table))
+                  for table, leq in pairs)
     yield from itertools.islice(structures, spec.limit)

@@ -376,3 +376,18 @@ def test_fuzzy_document_fuzz(doc):
     except StructureError:
         return
     assert all(0.0 <= v <= 1.0 for v in f.values)
+
+
+def test_enumerate_up_to_iso_at_five(capsys):
+    # n = 5 is searched only up to isomorphism and with one operation
+    assert main(["enumerate", "--n", "5", "--m", "1", "--up-to-iso",
+                 "--limit", "100"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["total"], doc["truncated"]) == (100, True)
+    for argv in (["--n", "5", "--m", "1"], ["--n", "5", "--m", "2",
+                                            "--up-to-iso"],
+                 ["--n", "6", "--m", "1", "--up-to-iso"]):
+        assert main(["enumerate", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "error:" in captured.err and "caps" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""

@@ -62,6 +62,24 @@ def test_tables_match_full_rescan(n, m):
     assert list(enumerate_tables(n, m)) == list(_full_rescan_tables(n, m))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_pruned_search_keeps_the_lex_leaders(n):
+    # an independent filter: the rescan's tables whose flat table no
+    # relabeling lowers, in order, each with the relabelings that keep it;
+    # relabeling p puts old element p[i] at new position i
+    N = range(n)
+    perms = list(itertools.permutations(N))
+    leaders = []
+    for t in _full_rescan_tables(n, 1):
+        images = [[p.index(t[p[i]][0][p[j]]) for i in N for j in N]
+                  for p in perms]
+        if min(images) == images[0]:
+            leaders.append((tuple(plane[0] for plane in t),
+                            tuple(p for p, image in zip(perms, images)
+                                  if image == images[0])))
+    assert list(enumeration._canonical_semigroups(n)) == leaders
+
+
 def _cell_search_tables(n, m):
     """Reference search over all m operations at once: cells in row-major
     order, and after each cell the associativity instances that read it."""
@@ -201,8 +219,33 @@ def test_oeis_semigroup_counts(n, labeled, classes):
                 for t in tables}) == classes
 
 
+def test_oeis_semigroup_counts_at_five():
+    # the pruned search's tables are A027851(5); weighted by orbit size
+    # n!/|Aut(T)|, they count the labeled tables, A023814(5)
+    canonical = enumeration._canonical_semigroups(5)
+    assert len(canonical) == 1915
+    assert all(120 % len(autos) == 0 for _, autos in canonical)
+    assert sum(120 // len(autos) for _, autos in canonical) == 183_732
+
+
+# OEIS A001423 (semigroups up to isomorphism or anti-isomorphism): a
+# canonical table is kept when its flat table is at most the canonical
+# flat table of its opposite, x * y = y x
+@pytest.mark.parametrize("n, classes",
+                         [(1, 1), (2, 4), (3, 18), (4, 126), (5, 1160)])
+def test_oeis_anti_isomorphism_counts(n, classes):
+    kept = 0
+    for t, _ in enumeration._canonical_semigroups(n):
+        opposite = tuple((tuple(t[y][x] for y in range(n)),)
+                         for x in range(n))
+        least, _ = enumeration.canonical_encoding(n, 1, opposite, ())
+        kept += tuple(itertools.chain(*t)) <= least
+    assert kept == classes
+
+
 # OEIS A001035 (labeled posets), an anchor from outside the code
-@pytest.mark.parametrize("n, posets", [(1, 1), (2, 3), (3, 19), (4, 219)])
+@pytest.mark.parametrize("n, posets",
+                         [(1, 1), (2, 3), (3, 19), (4, 219), (5, 4231)])
 def test_oeis_poset_counts(n, posets):
     orders = list(enumerate_orders(n))
     assert len(orders) == posets
@@ -360,6 +403,11 @@ def test_up_to_iso_covers_labeled_space_once():
 def test_caps_enforced():
     with pytest.raises(ValueError, match="caps"):
         SearchSpec(n=5, m=1)
+    # n = 5 only up to isomorphism with one operation
+    assert SearchSpec(n=5, m=1, up_to_iso=True).n == 5
+    for n, m in [(5, 2), (6, 1)]:
+        with pytest.raises(ValueError, match="caps"):
+            SearchSpec(n=n, m=m, up_to_iso=True)
     with pytest.raises(ValueError, match="caps"):
         SearchSpec(n=2, m=4)
     with pytest.raises(ValueError, match="limit"):
