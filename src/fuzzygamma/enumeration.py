@@ -90,40 +90,26 @@ def _canonical_semigroups(n: int) -> tuple[tuple[tuple, tuple], ...]:
     table = [[-1] * n for _ in N]
     flat = [-1] * (n * n)
 
+    def holds(a: int, b: int, c: int) -> bool:
+        """(a b) c == a (b c), or one of the instance's cells is unset."""
+        ab, bc = table[a][b], table[b][c]
+        if ab < 0 or bc < 0:
+            return True
+        left, right = table[ab][c], table[a][bc]
+        return left < 0 or right < 0 or left == right
+
     def consistent_at(x: int, y: int) -> bool:
-        # each instance reads (a b) c == a (b c); here v = x y
-        v = table[x][y]
-        Tx, Tv, Ty = table[x], table[v], table[y]
-        for c in N:  # as a b: (x y) c == x (y c)
-            yc = Ty[c]
-            if yc >= 0:
-                left, right = Tv[c], Tx[yc]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
+        # the new cell x y read as a b, as b c, and as the outer product:
+        # (a b) y with a b == x, and x (a b) with a b == y
         for a in N:
+            if not (holds(x, y, a) and holds(a, x, y)):
+                return False
             Ta = table[a]
-            ax = Ta[x]  # as b c: (a x) y == a v
-            if ax >= 0:
-                left, right = table[ax][y], Ta[v]
-                if left >= 0 and right >= 0 and left != right:
+            for b in N:
+                if Ta[b] == x and not holds(a, b, y):
                     return False
-            for b in N:  # as the outer left product, a b == x
-                if Ta[b] == x:
-                    by = table[b][y]
-                    if by >= 0:
-                        right = Ta[by]
-                        if right >= 0 and right != v:
-                            return False
-        for b in N:  # as the outer right product, b c == y
-            xb = Tx[b]
-            if xb < 0:
-                continue
-            Tb, Txb = table[b], table[xb]
-            for c in N:
-                if Tb[c] == y:
-                    left = Txb[c]
-                    if left >= 0 and left != v:
-                        return False
+                if Ta[b] == y and not holds(x, a, b):
+                    return False
         return True
 
     def still_live(live, last: int):

@@ -500,13 +500,17 @@ LAWS = {
                "pairs", "meet_leq_compose", ("left", "right"),
                iff="intra_regular"),
     "T23": Law("regular iff every fuzzy subset sits below f*1*f",
-               "chain_leq", chain="f1f", iff="regular"),
+               "chain_leq", chain=ideals.CLASS_WORDS["regular"],
+               iff="regular"),
     "T24": Law("intra-regular iff every fuzzy subset sits below 1*f^2*1",
-               "chain_leq", chain="1ff1", iff="intra_regular"),
+               "chain_leq", chain=ideals.CLASS_WORDS["intra_regular"],
+               iff="intra_regular"),
     "T26": Law("right regular iff every fuzzy subset sits below f^2*1",
-               "chain_leq", chain="ff1", iff="right_regular"),
+               "chain_leq", chain=ideals.CLASS_WORDS["right_regular"],
+               iff="right_regular"),
     "T28": Law("left regular iff every fuzzy subset sits below 1*f^2",
-               "chain_leq", chain="1ff", iff="left_regular"),
+               "chain_leq", chain=ideals.CLASS_WORDS["left_regular"],
+               iff="left_regular"),
     "P29": Law("one-sided ideals absorb composition with the constant one",
                "chain_geq", ("right", "left"), chain=("f1", "1f")),
     "C30": Law("one-sided ideals are subidempotent", "chain_geq",

@@ -91,6 +91,22 @@ def isomorphic(n: int, m: int, s1, s2) -> bool:
     return False
 
 
+def automorphism_count(S) -> int:
+    """|Aut(S)|: the (element, operation) permutation pairs that map every
+    product onto a product and the order onto itself, each pair counted."""
+    n, m, table = S.n, S.m, S.table
+    count = 0
+    for sigma in itertools.permutations(range(n)):
+        if frozenset((sigma[i], sigma[j]) for i, j in S.leq) != S.leq:
+            continue
+        for tau in itertools.permutations(range(m)):
+            count += all(sigma[table[x][g][y]]
+                         == table[sigma[x]][tau[g]][sigma[y]]
+                         for x in range(n) for g in range(m)
+                         for y in range(n))
+    return count
+
+
 # --- regularity classes -------------------------------------------------
 # One membership test per class, written out from its definition:
 # a <= a Γ M Γ a, a <= M Γ a Γ a Γ M, a <= a Γ a Γ M and a <= M Γ a Γ a,

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import pytest
 
@@ -226,6 +227,21 @@ def test_oeis_semigroup_counts_at_five():
     assert len(canonical) == 1915
     assert all(120 % len(autos) == 0 for _, autos in canonical)
     assert sum(120 // len(autos) for _, autos in canonical) == 183_732
+
+
+# orbit-stabilizer: each class S stands for n! m! / |Aut(S)| labeled
+# structures, so the weights over the up-to-iso stream count the labeled
+# stream; |Aut(S)| is counted by the oracle, since _automorphisms lists
+# element permutations only
+@pytest.mark.parametrize("n, m, labeled", [
+    (3, 2, 3203), (2, 3, 62), (3, 3, 10_103), (4, 1, 107_688)])
+def test_orbit_weights_count_the_labeled_stream(n, m, labeled):
+    group = math.factorial(n) * math.factorial(m)
+    autos = [naive_oracle.automorphism_count(S) for S in
+             enumerate_structures(SearchSpec(n=n, m=m, up_to_iso=True))]
+    assert all(group % a == 0 for a in autos)
+    assert sum(group // a for a in autos) == labeled == sum(
+        1 for _ in enumerate_structures(SearchSpec(n=n, m=m)))
 
 
 # OEIS A001423 (semigroups up to isomorphism or anti-isomorphism): a

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import make_lz2, make_nz2, make_t1
 from fuzzygamma import fuzzy, ideals, theorems, validate_structure
+from fuzzygamma.enumeration import SearchSpec, enumerate_structures
 from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               characteristic, compose, constant_one,
                               default_battery, enumerate_grid_battery,
@@ -872,6 +873,25 @@ def test_n4_verdicts_pinned():
                               [(1, 2), (1, 3), (2, 3)])
     assert _verdicts_sha256([band, null]) == (
         "5731dcc2a8be8c4a06f601c25754a964ac92a351d96e5ec0dc4cbc7b4cf5ada8")
+
+
+# S.opposite() swaps right and left, so these laws trade places; every
+# other law is its own mirror (the opposite of a composition is the
+# reversed composition)
+MIRRORS = {"P4": "P5", "L8": "L9", "C18": "C19", "T26": "T28"}
+MIRRORS.update({b: a for a, b in MIRRORS.items()})
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (2, 3)])
+def test_mirror_laws_agree_on_the_opposite(n, m):
+    # outcome and vacuity only: battery order does not mirror, so the
+    # witnesses need not
+    for S in enumerate_structures(SearchSpec(n=n, m=m, up_to_iso=True)):
+        mirrored = {v.theorem: (v.outcome, v.vacuous)
+                    for v in check_all(S.opposite())}
+        for v in check_all(S):
+            assert (v.outcome, v.vacuous) == mirrored[
+                MIRRORS.get(v.theorem, v.theorem)], (v.theorem, S.table)
 
 
 def _band_and_null(n):
