@@ -32,13 +32,15 @@ listed, by the minimum over every element and operation relabeling,
 adequate at the configured caps.  On a canonical table the relabelings
 that keep its flat table are its automorphisms, every other one raises it,
 so an order is canonical exactly when no automorphism lowers its sorted
-pairs (McKay's orbit test).
+pairs (McKay's orbit test).  Labeled mode is the same one filter, over
+every table read as having no automorphism but the identity.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,8 +70,9 @@ class SearchSpec:
             raise ValueError(
                 f"search caps exceeded (n <= {MAX_N}, m <= {MAX_M}; "
                 f"n <= {MAX_ISO_N} up to isomorphism at m = 1)")
-        if self.limit is not None and self.limit < 0:
-            raise ValueError(f"limit must be non-negative, got {self.limit}")
+        if self.limit is not None and not 0 <= self.limit <= sys.maxsize:
+            raise ValueError(f"limit must be non-negative and at most "
+                             f"{sys.maxsize}, got {self.limit}")
 
 
 @functools.cache
@@ -148,27 +151,24 @@ def _canonical_semigroups(n: int) -> tuple[tuple[tuple, tuple], ...]:
     return tuple(fill(0, relabelings))
 
 
-def _semigroups(n: int) -> list[list[int]]:
+def _semigroups(n: int) -> list[tuple[int, ...]]:
     """All associative binary tables on n elements, lexicographic in
-    row-major cell order: the orbits of the canonical tables under element
-    relabeling, merged.  A table is the list of its rows' indices into
-    ``itertools.product(range(n), repeat=n)``, the rows in ascending order.
+    row-major cell order: the canonical tables' orbits under element
+    relabeling, merged.  A table is the tuple of its rows' indices into
+    ``itertools.product(range(n), repeat=n)``, which keeps row order.
 
-    Each relabeled table is keyed by its flat table read as a base-n
-    integer, so the distinct keys, sorted, are the lexicographic order.
+    Relabeling p (new element i is old ``p[i]``) with inverse r sends row
+    ``p[i]`` to row i, read at columns p and renamed by r; ``image[k]`` is
+    the index of row k's image.
     """
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp)
-    rank = np.argsort(perms, axis=1)
-    weights = n ** np.arange(n * n - 1, -1, -1)
-    keys = set()
-    for table, _ in _canonical_semigroups(n):
-        # images[q, i n + j] = rank_q[T[p_q[i], p_q[j]]]: T relabeled by q
-        cells = np.array(table)[perms[:, :, None], perms[:, None, :]]
-        images = np.take_along_axis(rank, cells.reshape(len(perms), -1), 1)
-        keys.update((images @ weights).tolist())
-    w = n ** n
-    return (np.array(sorted(keys))[:, None]
-            // w ** np.arange(n - 1, -1, -1) % w).tolist()
+    rows = list(itertools.product(range(n), repeat=n))
+    code = {row: i for i, row in enumerate(rows)}
+    relabelings = [(p, [code[tuple([r[row[y]] for y in p])] for row in rows])
+                   for p in itertools.permutations(range(n))
+                   for r in [sorted(range(n), key=p.__getitem__)]]
+    return sorted({tuple([image[code[table[x]]] for x in p])
+                   for table, _ in _canonical_semigroups(n)
+                   for p, image in relabelings})
 
 
 def _compatible(T, n: int) -> list[set]:
@@ -274,14 +274,11 @@ def _bits(n: int, pairs) -> int:
     return sum(1 << (i * n + j) for i, j in pairs)
 
 
-def enumerate_orders(n: int, table=None):
-    """The labeled partial orders on n elements, bitmask-ascending; with a
-    table, only those compatible with each operation on both sides: those
-    that hold every pair their strict pairs force
-    (``structure._forced_pairs``)."""
-    if table is None:
-        yield from (leq for leq, _, _ in _posets(n))
-        return
+def enumerate_orders(n: int, table):
+    """The labeled partial orders on n elements compatible with each
+    operation of the table on both sides, bitmask-ascending: those that
+    hold every pair their strict pairs force (``structure._forced_pairs``).
+    """
     forced = {p: _bits(n, pairs) for p, pairs
               in _forced_pairs(table, n, len(table[0])).items()}
     for leq, mask, strict in _posets(n):
@@ -353,31 +350,21 @@ def enumerate_structures(spec: SearchSpec):
     n, m = spec.n, spec.m
     labels = tuple(f"e{i}" for i in range(n))
     glabels = tuple(f"g{k}" for k in range(m))
-
-    def canonical_tables():
-        """Each canonical table, with its automorphisms."""
-        if m == 1:
-            for table, autos in _canonical_semigroups(n):
-                yield tuple((row,) for row in table), autos
-            return
-        for table in enumerate_tables(n, m):
-            if _encoding(n, m, table, ()) == canonical_encoding(n, m, table,
-                                                                ()):
-                yield table, _automorphisms(n, m, table)
-
-    def canonical_orders(table, autos):
-        for leq in enumerate_orders(n, table):
-            own = sorted(leq)
-            if all(sorted([(p[i], p[j]) for i, j in leq]) >= own
-                   for p in autos[1:]):
-                yield leq
-
-    if spec.up_to_iso:
-        pairs = ((table, leq) for table, autos in canonical_tables()
-                 for leq in canonical_orders(table, autos))
+    # each table with its automorphisms but the identity; none when labeled
+    if not spec.up_to_iso:
+        tables = ((table, ()) for table in enumerate_tables(n, m))
+    elif m == 1:
+        tables = ((tuple((row,) for row in table), autos[1:])
+                  for table, autos in _canonical_semigroups(n))
     else:
-        pairs = ((table, leq) for table in enumerate_tables(n, m)
-                 for leq in enumerate_orders(n, table))
+        tables = ((table, _automorphisms(n, m, table)[1:])
+                  for table in enumerate_tables(n, m)
+                  if _encoding(n, m, table, ())
+                  == canonical_encoding(n, m, table, ()))
+    pairs = ((table, leq) for table, autos in tables
+             for leq in enumerate_orders(n, table)
+             if all(sorted([(p[i], p[j]) for i, j in leq]) >= sorted(leq)
+                    for p in autos))
     structures = (GammaStructure(labels, glabels, table, leq, True, True)
                   for table, leq in pairs)
     yield from itertools.islice(structures, spec.limit)

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import jsonschema
 import pytest
@@ -305,6 +306,12 @@ def test_enumerate_caps(capsys):
     assert main(["enumerate", "--n", "2", "--m", "1", "--limit", "-1"]) == 2
     captured = capsys.readouterr()
     assert "error:" in captured.err and "limit" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert main(["enumerate", "--n", "1", "--m", "1",
+                 "--limit", "99999999999999999999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: limit must be non-negative and "
+                                   f"at most {sys.maxsize}")
     assert "Traceback" not in captured.err and captured.out == ""
 
 

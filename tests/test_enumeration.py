@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import pytest
 
@@ -263,7 +264,7 @@ def test_oeis_anti_isomorphism_counts(n, classes):
 @pytest.mark.parametrize("n, posets",
                          [(1, 1), (2, 3), (3, 19), (4, 219), (5, 4231)])
 def test_oeis_poset_counts(n, posets):
-    orders = list(enumerate_orders(n))
+    orders = [leq for leq, _, _ in enumeration._posets(n)]
     assert len(orders) == posets
     if n <= 3:
         assert set(orders) == set(naive_oracle.naive_orders(n))
@@ -286,6 +287,10 @@ def test_oeis_poset_counts(n, posets):
      "5704bb010ed1c3fc26c31ed9415f3ee0"),
     (SearchSpec(n=4, m=1, up_to_iso=True), 4753,
      "ee764d3942da9f40d92ced7635ce2e31"),
+    (SearchSpec(n=4, m=1), 107_688, "d97d3805c7cad141c5497867089173a3"),
+    (SearchSpec(n=2, m=3), 62, "ec8377d4ef948a0883750d36edd6688a"),
+    (SearchSpec(n=2, m=3, up_to_iso=True), 18,
+     "1045b4eb4511675f9de36443c36f7336"),
 ])
 def test_emitted_stream_pinned(spec, count, digest):
     sha = hashlib.sha256()
@@ -336,13 +341,14 @@ def test_orders_match_the_instance_loop():
     # all 5 302 tables of (3,2), (3,3) and (4,1): 120 994 orders, in order
     total = 0
     for n, m in [(3, 2), (3, 3), (4, 1)]:
+        posets = [leq for leq, _, _ in enumeration._posets(n)]
         for table in enumerate_tables(n, m):
             got = list(enumerate_orders(n, table))
-            assert got == [leq for leq in enumerate_orders(n)
+            assert got == [leq for leq in posets
                            if _compatible_by_loop(table, n, m, leq)], table
             total += len(got)
             if (n, m) == (3, 2):  # validation reads the same forced pairs
-                assert got == [leq for leq in enumerate_orders(n)
+                assert got == [leq for leq in posets
                                if order_is_compatible(table, n, m, leq)]
     assert total == 120_994
 
@@ -428,3 +434,7 @@ def test_caps_enforced():
         SearchSpec(n=2, m=4)
     with pytest.raises(ValueError, match="limit"):
         SearchSpec(n=2, m=1, limit=-3)
+    # itertools.islice takes no stop past sys.maxsize
+    assert SearchSpec(n=1, m=1, limit=sys.maxsize).limit == sys.maxsize
+    with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
+        SearchSpec(n=1, m=1, limit=sys.maxsize + 1)

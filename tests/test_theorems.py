@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -137,6 +138,8 @@ def test_find_counterexample_limit_caps_the_checks(monkeypatch):
         assert len(calls) == k
     with pytest.raises(ValueError, match="limit must be non-negative"):
         find_counterexample("L10", n_max=2, m_max=2, limit=-1)
+    with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
+        find_counterexample("L10", n_max=2, m_max=2, limit=10**20)
     # the caps are checked before the first structure, not when reached
     calls.clear()
     for n_max, m_max in ((5, 1), (2, 4), (0, 1)):
