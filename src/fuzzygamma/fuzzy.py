@@ -250,8 +250,8 @@ class GridBattery:
     Exhaustive where the L-level uniform grid has at most ``GRID_CAP``
     members: every membership vector on it, in lexicographic order (element
     index major, level ascending).  Past the cap it is sampled: ``samples``
-    seeded uniform random vectors, then every characteristic function, then
-    the generated one-sided ideals of point characteristics.
+    seeded uniform random vectors, then every characteristic function, the
+    generated one-sided ideals of point characteristics among them.
     """
 
     levels: int
@@ -302,11 +302,7 @@ def battery_array(S: GammaStructure, battery: GridBattery) -> np.ndarray:
         return np.stack(grid, -1).reshape(-1, n)
     rng = random.Random(battery.seed)
     draws = [[rng.random() for _ in range(n)] for _ in range(battery.samples)]
-    # the generated ideal of a point is its principal ideal
-    points = [characteristic(S, principal_ideal(S, a, side)).values
-              for a in range(n) for side in ("right", "left")]
-    return np.concatenate([np.array(draws).reshape(-1, n), crisp_array(n),
-                           np.array(points)])
+    return np.concatenate([np.array(draws).reshape(-1, n), crisp_array(n)])
 
 
 def enumerate_grid_battery(S: GammaStructure, battery: GridBattery):

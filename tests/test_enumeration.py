@@ -205,8 +205,29 @@ def test_known_table_counts():
     assert sum(1 for _ in enumerate_tables(2, 1)) == 8
     assert sum(1 for _ in enumerate_tables(3, 1)) == 113
     # two operations on four elements: pairs of the 3 492 single-operation
-    # tables whose mixed instances hold (CI also pins (4,3), 187 332)
-    assert sum(1 for _ in enumerate_tables(4, 2)) == 26_028
+    # tables whose mixed instances hold (CI also pins (4,3), 187 332); the
+    # sha256 (first 32 hex digits) of each table's repr, concatenated in
+    # stream order, pins their order
+    sha, count = hashlib.sha256(), 0
+    for table in enumerate_tables(4, 2):
+        sha.update(repr(table).encode())
+        count += 1
+    assert (count, sha.hexdigest()[:32]) == (
+        26_028, "2d838f5f8046a555461d01d4911aff06")
+
+
+def test_single_operation_tables_and_pairs_built_once_per_n():
+    # a repeat call reads the cached tables and pairs, whatever m it asks
+    for n, m in [(3, 1), (3, 2), (3, 3), (2, 2)]:
+        list(enumerate_tables(n, m))
+    before = (enumeration._semigroups.cache_info(),
+              enumeration._compatible.cache_info())
+    for n, m in [(3, 1), (3, 2), (3, 3), (2, 2), (2, 3)]:
+        list(enumerate_tables(n, m))
+    after = (enumeration._semigroups.cache_info(),
+             enumeration._compatible.cache_info())
+    assert [info.misses for info in after] == [
+        info.misses for info in before]
 
 
 # OEIS A023814 (labeled semigroups) and A027851 (semigroups up to

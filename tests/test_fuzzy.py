@@ -57,13 +57,13 @@ def test_compose_and_meet_results_are_validated_subsets(LZ2, NZ2):
 
 def test_trusted_constructors_build_valid_subsets(labeled_pool):
     # these constructors skip validation too; a sampled battery holds its
-    # draws, every characteristic function and the generated point ideals
+    # draws and then every characteristic function
     sampled = GridBattery(levels=GRID_CAP + 1, seed=5, samples=20)
     for S in labeled_pool:
         built = [constant_one(S), constant_zero(S),
                  *enumerate_grid_battery(S, GridBattery(levels=4)),
                  *enumerate_grid_battery(S, sampled)]
-        assert len(built) == 2 + 4 ** S.n + 20 + 2 ** S.n + 2 * S.n
+        assert len(built) == 2 + 4 ** S.n + 20 + 2 ** S.n
         for f in built:
             assert _revalidates(f), (S, f)
 
@@ -279,8 +279,8 @@ def test_sampled_battery_deterministic(NZ2):
     first = [f.values for f in enumerate_grid_battery(NZ2, b)]
     second = [f.values for f in enumerate_grid_battery(NZ2, b)]
     assert first == second
-    # samples + 2^n characteristics + generated point ideals of both sides
-    assert len(first) == 10 + 4 + 4
+    # samples + 2^n characteristics, the generated point ideals among them
+    assert len(first) == 10 + 4
 
 
 def test_default_battery(NZ2):

@@ -430,19 +430,15 @@ def test_pool_refutations_replay(labeled_pool):
 def _reference_rows(S, battery):
     """The battery's rows, stated from its definition: the grid vectors in
     lexicographic order, or the seeded draws, then every 0/1 row (bit i of
-    the row number at element i), then the generated point ideals."""
+    the row number at element i)."""
     if not battery.sampled(S):
         return [list(v) for v in itertools.product(
             grid_levels(battery.levels), repeat=S.n)]
     rng = random.Random(battery.seed)
     rows = [[rng.random() for _ in range(S.n)]
             for _ in range(battery.samples)]
-    rows += [[float(bits >> i & 1) for i in range(S.n)]
-             for bits in range(2 ** S.n)]
-    rows += [list(generated_fuzzy_ideal(point_characteristic(S, a),
-                                        side).values)
-             for a in range(S.n) for side in ("right", "left")]
-    return rows
+    return rows + [[float(bits >> i & 1) for i in range(S.n)]
+                   for bits in range(2 ** S.n)]
 
 
 def _battery_is_the_reference(S, battery):
@@ -462,10 +458,15 @@ def test_context_battery_is_the_stream(make, levels):
 
 
 def test_context_sampled_battery_is_the_stream():
-    # ordered structures too, whose principal ideals are downward closed
+    # ordered structures too; the generated point ideals, which the
+    # battery's description names, are among its 0/1 rows
     battery = GridBattery(levels=GRID_CAP + 1, seed=7, samples=50)
     for S in (make_t1(), make_nz2(), _left_zero3(), _null3([(1, 2)])):
         _battery_is_the_reference(S, battery)
+        rows = theorems._Context(S, battery).W.tolist()
+        assert all(list(generated_fuzzy_ideal(point_characteristic(S, a),
+                                              side).values) in rows
+                   for a in range(S.n) for side in ("right", "left"))
 
 
 @pytest.fixture
@@ -485,7 +486,7 @@ def test_context_battery_cap(battery_builds):
     S, battery = make_nz2(), GridBattery(levels=1001, samples=30)
     ctx = theorems._Context(S, battery)
     assert battery_builds == []
-    assert ctx.W.shape == (30 + 4 + 4, 2) and ctx.W is ctx.W
+    assert ctx.W.shape == (30 + 4, 2) and ctx.W is ctx.W
     assert battery_builds == [(S, battery)]
 
 
