@@ -20,8 +20,8 @@ instances hold for each pair, both ways round (compare Distler,
 "Classification and enumeration of finite semigroups", 2010); the tables
 and pairs are found once per n, and the tuples sorted by their rows.  The
 labeled posets on n elements (OEIS A001035) are built once per n, each
-from one on n - 1 elements, and filtered per table for two-sided
-compatibility, as bitmasks, against the pairs each strict pair forces.
+from one on n - 1 elements, and stacked as one boolean array, which
+``structure.compatible`` filters per table in one numpy call.
 
 Up to isomorphism an encoding is (flat table, sorted order), compared
 lexicographically, so when a relabeling gives a smaller flat table no
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .structure import GammaStructure, _forced_pairs
+from .structure import GammaStructure, compatible
 # Never called here. perfbench traces the enumerator's validation under this
 # name, and its count of zero shows that emitted structures skip validation.
 from .structure import validate_structure  # noqa: F401
@@ -233,9 +233,10 @@ def enumerate_tables(n: int, m: int):
 
 
 @functools.cache
-def _posets(n: int) -> tuple[tuple[frozenset, int, tuple], ...]:
-    """All labeled partial orders on n elements, bitmask-ascending, each
-    with its ``_bits`` mask and its strict pairs.
+def _posets(n: int) -> tuple[tuple[frozenset, ...], np.ndarray]:
+    """All labeled partial orders on n elements, bitmask-ascending (pair
+    (i, j) at bit i*n + j), and the same orders as one read-only boolean
+    stack: ``R[k, i, j]`` when i <= j in order k.
 
     Each extends a partial order on the first n - 1 elements by element
     n - 1, strictly above a down-set D and below an up-set U of it: D and U
@@ -243,42 +244,35 @@ def _posets(n: int) -> tuple[tuple[frozenset, int, tuple], ...]:
     transitivity through n - 1 asks.
     """
     if n == 0:
-        return ((frozenset(), 0, ()),)
+        return (frozenset(),), np.zeros((1, 0, 0), bool)
     top = n - 1
     subsets = [set(S) for k in range(n)
                for S in itertools.combinations(range(top), k)]
     posets = []
-    for leq, _, strict in _posets(top):
+    for leq in _posets(top)[0]:
         downs = [D for D in subsets if all(a in D for a, b in leq if b in D)]
         ups = [U for U in subsets if all(b in U for a, b in leq if a in U)]
         for D, U in itertools.product(downs, ups):
             if D & U or any((d, u) not in leq for d in D for u in U):
                 continue
-            new = tuple([(d, top) for d in D] + [(top, u) for u in U])
-            order = leq | {(top, top), *new}
-            posets.append((order, _bits(n, order), strict + new))
-    posets.sort(key=lambda poset: poset[1])
-    return tuple(posets)
-
-
-def _bits(n: int, pairs) -> int:
-    """Index pairs as a bitmask, pair (i, j) at bit i*n + j."""
-    return sum(1 << (i * n + j) for i, j in pairs)
+            posets.append(leq | {(top, top), *[(d, top) for d in D],
+                                 *[(top, u) for u in U]})
+    flat = np.zeros((len(posets), n * n), bool)
+    for k, leq in enumerate(posets):
+        flat[k, [i * n + j for i, j in leq]] = True
+    order = np.lexsort(flat.T)  # the last key, bit n*n - 1, leads
+    R = flat[order].reshape(-1, n, n)
+    R.flags.writeable = False
+    return tuple([posets[k] for k in order]), R
 
 
 def enumerate_orders(n: int, table):
     """The labeled partial orders on n elements compatible with each
-    operation of the table on both sides, bitmask-ascending: those that
-    hold every pair their strict pairs force (``structure._forced_pairs``).
+    operation of the table on both sides, bitmask-ascending: the posets of
+    ``_posets(n)`` that ``structure.compatible`` keeps, all tested at once.
     """
-    forced = {p: _bits(n, pairs) for p, pairs
-              in _forced_pairs(table, n, len(table[0])).items()}
-    for leq, mask, strict in _posets(n):
-        need = 0
-        for p in strict:
-            need |= forced[p]
-        if not need & ~mask:
-            yield leq
+    orders, R = _posets(n)
+    yield from itertools.compress(orders, compatible(table, R))
 
 
 def _encoding(n: int, m: int, table, leq, elems=None, ops=None):

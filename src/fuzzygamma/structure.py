@@ -3,7 +3,8 @@
 A gamma structure is a finite carrier M together with a finite family of
 binary operations (indexed by "gamma" labels) and a partial order on M.
 The order is expected to be compatible with every operation on both sides;
-validation computes and records this, and can be relaxed on request.
+``compatible`` states that once, for validation (which records it, and can
+be relaxed on request) and the enumerator.
 All set-level primitives (downward closure, subset products, principal
 ideals, the factorization relation) live here.
 """
@@ -14,6 +15,8 @@ import hashlib
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 class StructureError(ValueError):
@@ -121,28 +124,27 @@ def table_is_associative(table, n: int, m: int) -> bool:
     return True
 
 
-def _forced_pairs(table, n: int, m: int) -> dict:
-    """For each pair (i, j), the off-diagonal pairs that i <= j forces in a
-    compatible order: (i γ c, j γ c) and (c γ i, c γ j) over every γ and c
-    (none when i == j)."""
-    forced = {}
-    for i in range(n):
-        for j in range(n):
-            pairs = set()
-            for g in range(m):
-                Tig, Tjg = table[i][g], table[j][g]
-                for c in range(n):
-                    Tcg = table[c][g]
-                    pairs.add((Tig[c], Tjg[c]))
-                    pairs.add((Tcg[i], Tcg[j]))
-            forced[i, j] = frozenset((x, y) for x, y in pairs if x != y)
-    return forced
+def compatible(table, R):
+    """Two-sided compatibility over a stack of relations: for each
+    ``R[..., :, :]`` (``R[..., i, j]`` read as i <= j), whether i <= j
+    implies i γ c <= j γ c and c γ i <= c γ j for every operation γ and
+    element c (Kehayopulu and Tsingelis, Semigroup Forum, 2002).
+    """
+    T = np.asarray(table)  # T[x, g, y] = x g y
+    n, m = T.shape[:2]
+    I, J, G, C = np.indices((n, n, m, n), sparse=True)
+    held = R[..., I, J]
+    kept = ((held <= R[..., T[I, G, C], T[J, G, C]])
+            & (held <= R[..., T[C, G, I], T[C, G, J]]))
+    return kept.all(axis=(-4, -3, -2, -1))
 
 
-def order_is_compatible(table, n: int, m: int, leq) -> bool:
-    """Two-sided compatibility: i <= j implies i*c <= j*c and c*i <= c*j."""
-    forced = _forced_pairs(table, n, m)
-    return all(forced[p] <= leq for p in leq)
+def order_is_compatible(table, leq) -> bool:
+    """Two-sided compatibility of one order, given as its index pairs."""
+    n = len(table)
+    R = np.zeros(n * n, bool)
+    R[[i * n + j for i, j in leq]] = True
+    return bool(compatible(table, R.reshape(n, n)))
 
 
 def validate_structure(elements, gammas, table, order,
@@ -195,12 +197,12 @@ def validate_structure(elements, gammas, table, order,
                 f"antisymmetry violation between {elements[i]!r} and "
                 f"{elements[j]!r}")
 
-    compatible = order_is_compatible(table, n, m, leq)
-    if require_compat and not compatible:
+    compat = order_is_compatible(table, leq)
+    if require_compat and not compat:
         raise StructureError("order is not compatible with the operations")
 
     return GammaStructure(elements, gammas, table, leq,
-                          table_is_associative(table, n, m), compatible)
+                          table_is_associative(table, n, m), compat)
 
 
 def require_checkable(S: GammaStructure, task: str) -> None:

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import random
 import sys
 
 import pytest
@@ -10,7 +11,8 @@ from fuzzygamma import enumeration
 from fuzzygamma.enumeration import (SearchSpec, are_isomorphic,
                                     canonical_form, enumerate_orders,
                                     enumerate_structures, enumerate_tables)
-from fuzzygamma.structure import order_is_compatible, validate_structure
+from fuzzygamma.structure import (compatible, order_is_compatible,
+                                  table_is_associative, validate_structure)
 
 
 def test_single_element_counts():
@@ -285,8 +287,10 @@ def test_oeis_anti_isomorphism_counts(n, classes):
 @pytest.mark.parametrize("n, posets",
                          [(1, 1), (2, 3), (3, 19), (4, 219), (5, 4231)])
 def test_oeis_poset_counts(n, posets):
-    orders = [leq for leq, _, _ in enumeration._posets(n)]
-    assert len(orders) == posets
+    orders, R = enumeration._posets(n)
+    assert len(orders) == len(R) == posets
+    for row, leq in zip(R, orders):  # stack row k is order k
+        assert {(i, j) for i in range(n) for j in range(n) if row[i, j]} == leq
     if n <= 3:
         assert set(orders) == set(naive_oracle.naive_orders(n))
     offdiag = [(i, j) for i in range(n) for j in range(n) if i != j]
@@ -362,16 +366,42 @@ def test_orders_match_the_instance_loop():
     # all 5 302 tables of (3,2), (3,3) and (4,1): 120 994 orders, in order
     total = 0
     for n, m in [(3, 2), (3, 3), (4, 1)]:
-        posets = [leq for leq, _, _ in enumeration._posets(n)]
+        posets, _ = enumeration._posets(n)
         for table in enumerate_tables(n, m):
             got = list(enumerate_orders(n, table))
             assert got == [leq for leq in posets
                            if _compatible_by_loop(table, n, m, leq)], table
             total += len(got)
-            if (n, m) == (3, 2):  # validation reads the same forced pairs
+            if (n, m) == (3, 2):  # validation reads the same test
                 assert got == [leq for leq in posets
-                               if order_is_compatible(table, n, m, leq)]
+                               if order_is_compatible(table, leq)]
     assert total == 120_994
+
+
+def test_validation_compatibility_matches_the_oracle_off_the_search():
+    # tables the enumerator never yields: every 2-element single-operation
+    # table, associative or not, and a seeded sample of non-associative
+    # (3,2) tables
+    cases = [(2, 1, (((a, b),), ((c, d),)))
+             for a, b, c, d in itertools.product(range(2), repeat=4)]
+    rng = random.Random(31)
+    while len(cases) < 16 + 200:
+        table = tuple(tuple(tuple(rng.randrange(3) for _ in range(3))
+                            for _ in range(2)) for _ in range(3))
+        if not table_is_associative(table, 3, 2):
+            cases.append((3, 2, table))
+    verdicts = []
+    for n, m, table in cases:
+        orders, R = enumeration._posets(n)
+        naive = set(naive_oracle.naive_compatible_orders(n, m, table))
+        stacked = compatible(table, R)
+        for k, leq in enumerate(orders):
+            S = validate_structure(range(n), range(m), table, sorted(leq),
+                                   require_compat=False)
+            assert (S.compatible == (leq in naive) == stacked[k]
+                    == compatible(table, R[k])), (table, leq)
+            verdicts.append(S.compatible)
+    assert any(verdicts) and not all(verdicts)
 
 
 def test_orders_include_discrete():
