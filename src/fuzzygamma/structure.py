@@ -3,8 +3,10 @@
 A gamma structure is a finite carrier M together with a finite family of
 binary operations (indexed by "gamma" labels) and a partial order on M.
 The order is expected to be compatible with every operation on both sides;
-``compatible`` states that once, for validation (which records it, and can
-be relaxed on request) and the enumerator.
+``compatible`` states that once, for the enumerator and for validation.
+Validation closes the order into one boolean relation matrix, which
+``compatible`` reads, tests associativity in numpy one element at a time,
+and records both flags (compatibility can be relaxed on request).
 All set-level primitives (downward closure, subset products, principal
 ideals, the factorization relation) live here.
 """
@@ -93,35 +95,24 @@ class GammaStructure:
                               self.associative, self.compatible)
 
 
-def transitive_closure(n: int, pairs) -> frozenset[tuple[int, int]]:
-    """Reflexive-transitive closure of a set of index pairs."""
-    rel = [[False] * n for _ in range(n)]
-    for i in range(n):
-        rel[i][i] = True
+def transitive_closure(n: int, pairs) -> np.ndarray:
+    """Reflexive-transitive closure of index pairs, as a boolean matrix."""
+    R = np.eye(n, dtype=bool)
     for i, j in pairs:
-        rel[i][j] = True
-    for k in range(n):
-        rk = rel[k]
-        for i in range(n):
-            if rel[i][k]:
-                ri = rel[i]
-                for j in range(n):
-                    if rk[j]:
-                        ri[j] = True
-    return frozenset((i, j) for i in range(n) for j in range(n) if rel[i][j])
+        R[i, j] = True
+    for k in range(n):  # Warshall: route every i <= k <= j through k
+        R |= R[:, k, None] & R[k]
+    return R
 
 
-def table_is_associative(table, n: int, m: int) -> bool:
-    for x in range(n):
-        for g in range(m):
-            row = table[x][g]
-            for y in range(n):
-                xy = row[y]
-                for mu in range(m):
-                    for z in range(n):
-                        if table[xy][mu][z] != table[x][g][table[y][mu][z]]:
-                            return False
-    return True
+def table_is_associative(table) -> bool:
+    """Whether (x γ y) μ z = x γ (y μ z) throughout, tested one x at a
+    time: O(n²m²) memory, and the first failing x ends the check."""
+    T = np.asarray(table)  # T[x, g, y] = x g y
+    n, m = T.shape[:2]
+    G, Y, MU, Z = np.indices((m, n, m, n), sparse=True)
+    YZ = T[Y, MU, Z]
+    return all((T[T[x, G, Y], MU, Z] == T[x, G, YZ]).all() for x in range(n))
 
 
 def compatible(table, R):
@@ -139,12 +130,9 @@ def compatible(table, R):
     return kept.all(axis=(-4, -3, -2, -1))
 
 
-def order_is_compatible(table, leq) -> bool:
-    """Two-sided compatibility of one order, given as its index pairs."""
-    n = len(table)
-    R = np.zeros(n * n, bool)
-    R[[i * n + j for i, j in leq]] = True
-    return bool(compatible(table, R.reshape(n, n)))
+def _is_index(v, n: int) -> bool:
+    """Whether v is an int, not a bool, naming one of n elements."""
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
 def validate_structure(elements, gammas, table, order,
@@ -181,28 +169,30 @@ def validate_structure(elements, gammas, table, order,
                 raise StructureError(
                     f"table row in plane {x} must have {n} entries")
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if not _is_index(v, n):
                     raise StructureError(f"table entry {v!r} out of range")
             rows.append(tuple(row))
         planes.append(tuple(rows))
     table = tuple(planes)
 
     for i, j in order:
-        if not (0 <= i < n and 0 <= j < n):
+        if not (_is_index(i, n) and _is_index(j, n)):
             raise StructureError(f"order pair ({i}, {j}) out of range")
-    leq = transitive_closure(n, order)
+    R = transitive_closure(n, order)
+    leq = frozenset(zip(*(a.tolist() for a in R.nonzero())))  # row-major
     for i, j in leq:
         if i != j and (j, i) in leq:
             raise StructureError(
                 f"antisymmetry violation between {elements[i]!r} and "
                 f"{elements[j]!r}")
 
-    compat = order_is_compatible(table, leq)
+    T = np.asarray(table)
+    compat = bool(compatible(T, R))
     if require_compat and not compat:
         raise StructureError("order is not compatible with the operations")
 
     return GammaStructure(elements, gammas, table, leq,
-                          table_is_associative(table, n, m), compat)
+                          table_is_associative(T), compat)
 
 
 def require_checkable(S: GammaStructure, task: str) -> None:
@@ -217,7 +207,7 @@ def require_checkable(S: GammaStructure, task: str) -> None:
 
 def is_associative(S: GammaStructure) -> bool:
     """Recompute associativity over all triples (the stored flag agrees)."""
-    return table_is_associative(S.table, S.n, S.m)
+    return table_is_associative(S.table)
 
 
 def downward_closure(S: GammaStructure, subset) -> frozenset[int]:

@@ -1,15 +1,18 @@
 import itertools
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import fuzzygamma
 from fuzzygamma import (StructureError, downward_closure, factorizations,
                         is_associative, subset_product, validate_structure)
+from fuzzygamma.enumeration import enumerate_tables
 
 
 def test_t1_valid(T1):
@@ -35,6 +38,16 @@ def test_antisymmetry_violation_after_closure():
     with pytest.raises(StructureError, match="antisymmetry"):
         validate_structure(["z", "a"], ["g"], [[[0, 0]], [[0, 0]]],
                            [(0, 1), (1, 0)])
+    # the pair named is the first clashing one the closure's frozenset
+    # yields, which here is not the least clashing pair
+    for pairs, names in [([(0, 2), (2, 0)], "'c' and 'a'"),
+                         ([(0, 2), (2, 4), (3, 0), (4, 3)], "'c' and 'e'"),
+                         ([(0, 3), (1, 3), (2, 0), (3, 1)], "'d' and 'b'")]:
+        n = 1 + max(max(pair) for pair in pairs)
+        with pytest.raises(StructureError) as info:
+            validate_structure("abcde"[:n], ["g"],
+                               [[[x] * n] for x in range(n)], pairs)
+        assert str(info.value) == f"antisymmetry violation between {names}"
 
 
 def test_left_zero_with_chain_order_is_compatible():
@@ -62,17 +75,79 @@ def test_order_closure_is_transitive():
                            [[[0, 0, 0]], [[0, 0, 0]], [[0, 0, 0]]],
                            [(0, 1), (1, 2)])
     assert S.le(0, 2)
+    # seeded generating pairs on n <= 6, half of them acyclic by a random
+    # rank, against a naive closure; antisymmetry raises exactly where it
+    # has a 2-cycle (a left-zero band is compatible with every order)
+    rng = random.Random(32)
+    raised = 0
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        pairs = [(rng.randrange(n), rng.randrange(n))
+                 for _ in range(rng.randint(0, 2 * n))]
+        if rng.random() < 0.5:
+            rank = rng.sample(range(n), n)
+            pairs = [(rank[min(i, j)], rank[max(i, j)]) for i, j in pairs]
+        closure = {(i, i) for i in range(n)} | set(pairs)
+        while True:
+            more = {(i, l) for i, j in closure for k, l in closure if j == k}
+            if more <= closure:
+                break
+            closure |= more
+        band = [[[x] * n] for x in range(n)]
+        if any(i != j and (j, i) in closure for i, j in closure):
+            with pytest.raises(StructureError, match="antisymmetry"):
+                validate_structure(range(n), ["g"], band, pairs)
+            raised += 1
+        else:
+            assert validate_structure(range(n), ["g"], band,
+                                      pairs).leq == closure, pairs
+    assert 40 <= raised <= 360  # both answers, many times
 
 
 def test_is_associative_matches_bruteforce():
-    # e*e=f, e*f=e, f*e=f, f*f=f checked against a scan of all 8 triples
-    table = [[[1, 0]], [[1, 1]]]
-    expected = all(
-        table[table[x][0][y]][0][z] == table[x][0][table[y][0][z]]
-        for x, y, z in itertools.product(range(2), repeat=3))
-    S = validate_structure(["e", "f"], ["g"], table, [])
-    assert is_associative(S) == expected
-    assert S.associative == expected
+    # e*e=f, e*f=e, f*e=f, f*f=f; every (2,1) and (2,2) table; seeded
+    # (3,2), (3,3) and (4,1) tables, enumerated ones with one-cell mutants
+    # of them; an n = 40 left-zero band with and without one broken cell
+    # (1*2 = 5, so only x = 1 fails): each checked against a scan of all
+    # (x, g, y, mu, z)
+    tables = [[[[1, 0]], [[1, 1]]]]
+    for m in (1, 2):
+        tables += [np.reshape(cells, (2, m, 2)).tolist()
+                   for cells in itertools.product(range(2), repeat=4 * m)]
+    rng = random.Random(32)
+    for n, m in [(3, 2), (3, 3), (4, 1)]:
+        for table in rng.sample(list(enumerate_tables(n, m)), 20):
+            mutant = [list(map(list, plane)) for plane in table]
+            mutant[rng.randrange(n)][rng.randrange(m)][rng.randrange(n)] = (
+                rng.randrange(n))
+            tables += [table, mutant]
+        tables += [np.reshape([rng.randrange(n) for _ in range(n * m * n)],
+                              (n, m, n)).tolist() for _ in range(10)]
+    band = [[[x] * 40] for x in range(40)]
+    broken = [[row[:] for row in plane] for plane in band]
+    broken[1][0][2] = 5
+    tables += [band, broken]
+    seen = {}
+    for table in tables:
+        n, m = len(table), len(table[0])
+        expected = all(
+            table[table[x][g][y]][mu][z] == table[x][g][table[y][mu][z]]
+            for x, g, y, mu, z in itertools.product(
+                range(n), range(m), range(n), range(m), range(n)))
+        S = validate_structure(range(n), range(m), table, [])
+        assert is_associative(S) == expected, table
+        assert S.associative == expected, table
+        seen.setdefault((n, m), set()).add(expected)
+    assert all(answers == {True, False} for answers in seen.values())
+
+
+def test_order_pair_entries_checked_like_table_entries():
+    # an int that is not a bool, in range: a float is no index, and a bool
+    # pair is neither read as 0/1 nor dropped
+    for pair in [(0.0, 1), (0, 1.5), (False, True), (1, True)]:
+        with pytest.raises(StructureError, match="out of range"):
+            validate_structure(["a", "b"], ["g"], [[[0, 0]], [[1, 1]]],
+                               [pair])
 
 
 def test_is_associative_fixtures(T1, LZ2):
