@@ -10,8 +10,8 @@ products per structure, and the scalar calculus of :mod:`fuzzygamma.fuzzy`
 as statements commute with level cuts; the battery is built only after
 that screen finds a violation, to locate the witness a full battery scan
 finds first.  A law holds when it has no witness; a conditional law holds
-vacuously, with no scan, when its hypothesis fails.  "L8-unconditional", a
-weakened negative control, proves the harness can refute.
+vacuously, with no scan, when its hypothesis fails.  "L8-unconditional",
+L8's entry without its hypothesis, proves the harness can refute.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ class Law:
     hypothesis: str | None = None   # class required, else a vacuous hold
     iff: str | None = None          # class the statement characterizes
     at: str | None = None           # element class the statement is made at
-    equality: bool = False          # where the class holds, f g = meet too
+    equality: str | None = None     # entry run next where the class holds
     run: Callable | None = None
 
     def word(self, role: str) -> str:
@@ -215,13 +215,6 @@ class Law:
 
 _PAIR_KINDS = ("meet_leq_compose", "compose_leq_meet", "support_iff")
 _LABEL_KEYS = {"pred_equiv": "predicate", "support_iff": "variant"}
-
-
-def _equality_clause(law: Law) -> Law:
-    """T13's equality clause.  It runs only after the forward clause (meet
-    below composition) held, where composition != meet means composition
-    above meet."""
-    return replace(law, kind="compose_leq_meet")
 
 
 def _statement(law: Law, calc, F, G=None, role: str = "any"):
@@ -411,7 +404,7 @@ def _scan(ctx: _Context, law: Law):
     witness = _first_violation(ctx, law)
     if witness is None and law.equality:
         clause = "equality"
-        witness = _first_violation(ctx, _equality_clause(law))
+        witness = _first_violation(ctx, LAWS[law.equality])
     if witness is not None:
         witness["theorem_direction"] = clause
     return witness
@@ -494,7 +487,7 @@ LAWS = {
                "bound holds", "chain_leq", chain="1ff1", at="intra_regular"),
     "T13": Law("regular iff meet below composition for all right/left "
                "ideal pairs", "meet_leq_compose", ("right", "left"),
-               iff="regular", equality=True),
+               iff="regular", equality="L10"),
     # the conclusion composes the left ideal first, then the right ideal
     "T16": Law("intra-regular iff meet below reversed composition for ideal "
                "pairs", "meet_leq_compose", ("left", "right"),
@@ -520,9 +513,10 @@ LAWS = {
                hypothesis="regular"),
     "QI": Law("quasi-ideal sanity: one-sided ideals qualify",
               "quasi_bound", ("right", "left")),
-    "L8-unconditional": Law("negative control: L8 with its hypothesis "
-                            "dropped", "meet_leq_compose", ("right", "any")),
 }
+LAWS["L8-unconditional"] = replace(
+    LAWS["L8"], description="negative control: L8 with its hypothesis "
+                            "dropped", hypothesis=None)
 
 THEOREM_IDS = tuple(tid for tid in LAWS if tid not in NEGATIVE_CONTROL_IDS)
 
@@ -601,7 +595,7 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
                  for role in law.roles}
         return not _members(S, law.iff).all() and not _fails(calc, crisp, law)
     if w.get("theorem_direction") == "equality":
-        law = _equality_clause(law)
+        law = LAWS[law.equality]
     side = w.get("side", law.roles[0])
     pairs = zip(law.roles, (w["f"], w["g"])) if "g" in w else [(side, w["f"])]
     rows = [_rows(calc, role, np.array([[d[lbl] for lbl in S.elements]],
@@ -669,7 +663,7 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         for tid, law in laws:
             count = _count_violations(calc, law, F, G)
             if law.equality:
-                count += _count_violations(calc, _equality_clause(law), F, G)
+                count += _count_violations(calc, LAWS[law.equality], F, G)
             if law.kind == "support_iff":
                 count += _count_violations(calc, law, Fz, Gz)
             if count:

@@ -4,7 +4,7 @@ import sys
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fuzzygamma import enumeration, ideals, serialize, theorems
 from fuzzygamma.cli import main
@@ -376,12 +376,14 @@ def test_structure_document_fuzz(field, data):
 @given(st.dictionaries(st.sampled_from(["a", "b", "c"]),
                        JSON_VALUES | st.integers(10 ** 308, 10 ** 310),
                        max_size=3) | JSON_VALUES)
+@example({"a": True})  # a JSON bool is an int to Python, not a membership
 def test_fuzzy_document_fuzz(doc):
     S = structure_from_dict(LZ2_DOC)
     try:
         f = serialize.fuzzy_from_dict(S, doc)
     except StructureError:
         return
+    assert not any(isinstance(v, bool) for v in doc.values())
     assert all(0.0 <= v <= 1.0 for v in f.values)
 
 

@@ -314,6 +314,11 @@ def test_faulty_support_kernel_refutations_do_not_replay(monkeypatch,
         v = check(S, tid)
         assert v.outcome == "refuted", tid
         assert not replay_witness(S, v), tid
+    # random draws are almost surely positive everywhere, where "some" and
+    # "every" cofactor agree, so only the zero-masked draws see the fault:
+    # without them random mode lists nothing here
+    assert cross_validate_random(S, samples=2_000, seed=0) == [
+        {"law": "L17", "count": 741}, {"law": "C19", "count": 996}]
 
 
 @pytest.mark.parametrize("tid", ["L21", "L17"])
@@ -412,6 +417,19 @@ def test_role_filter_fault_refutations_do_not_replay(monkeypatch,
         refuted = [v for v in check_all(S) if v.outcome == "refuted"]
         assert {v.theorem for v in refuted} == laws, S
         assert not any(replay_witness(S, v) for v in refuted), S
+
+
+def test_chunked_location_finds_the_default_witness(monkeypatch,
+                                                     fresh_context,
+                                                     labeled_pool):
+    # a 64-entry cube cuts _first_pair into blocks of one or a few rows, so
+    # a witness past the first block is found at its offset in F, and every
+    # verdict is the default one
+    expected = [check(S, "L8-unconditional") for S in labeled_pool]
+    monkeypatch.setattr(theorems, "_CUBE", 64)
+    theorems._context.cache_clear()
+    assert [check(S, "L8-unconditional") for S in labeled_pool] == expected
+    assert sum(v.outcome == "refuted" for v in expected) == 386
 
 
 def test_pool_refutations_replay(labeled_pool):
@@ -642,9 +660,8 @@ def test_check_all_makes_one_kernel_call_of_each_kind(monkeypatch,
 # --- crisp-cut screen of every battery statement ------------------------
 
 ROLES = ("any", "right", "left", "one")
-# every battery statement, T13's equality clause too
-SCANS = tuple(law for law in theorems.LAWS.values() if law.run is None) + (
-    theorems._equality_clause(theorems.LAWS["T13"]),)
+# every battery statement; T13's equality clause is L10's entry
+SCANS = tuple(law for law in theorems.LAWS.values() if law.run is None)
 
 
 def _null3(order=()):
@@ -973,29 +990,43 @@ def _raising_kernel(facts, F, G):
     return np.where((C > 0) & (C < 1), np.minimum(1.5 * C, 1.0), C)
 
 
-# random_refuted: cross_validate_random's records, in registry order
+def _semilattice2():
+    # the regular two-element semilattice: x g y = min(x, y), discrete order
+    return validate_structure(["a", "b"], ["g"], [[[0, 0]], [[0, 1]]], [])
+
+
+# random_refuted: per input, cross_validate_random's records in registry
+# order; on the regular semilattice the raising fault lifts f∘g above the
+# meet, which T13 counts through its equality clause, L10's entry
 @pytest.mark.parametrize("kernel, refuted, random_refuted", [
-    (_halving_kernel, set(), [("P4", 653), ("P5", 653), ("P6", 970),
-                              ("L21", 3987), ("L22", 1819)]),
-    (_raising_kernel, set(), [("P4", 682), ("P5", 682), ("P6", 682),
-                              ("L10", 252), ("P29", 1364), ("C30", 1364),
-                              ("QI", 1364)])])
-def test_fractional_kernel_faults_stay_visible(monkeypatch, kernel, refuted,
+    (_halving_kernel, set(), {_null3: [
+        ("P4", 653), ("P5", 653), ("P6", 970), ("L21", 3987),
+        ("L22", 1819)]}),
+    (_raising_kernel, set(), {_null3: [
+        ("P4", 682), ("P5", 682), ("P6", 682), ("L10", 252), ("P29", 1364),
+        ("C30", 1364), ("QI", 1364)], _semilattice2: [
+        ("P4", 1014), ("P5", 1014), ("P6", 1014), ("L10", 1006),
+        ("T13", 1006), ("P29", 4056), ("C30", 4056), ("C31", 4056),
+        ("QI", 4056)]})])
+def test_fractional_kernel_faults_stay_visible(monkeypatch, fresh_context,
+                                               kernel, refuted,
                                                random_refuted):
     # both faults keep every 0/1 composition, and grid mode decides every
     # law on crisp rows, so no law sees them there; the random search does,
     # and so does the direct comparison with the scalar oracle
     # (test_kernel_comparison_sees_fractional_faults)
-    S = _null3()
-    assert all(v.outcome == "holds" for v in check_all(S))
-    calls = []
-    monkeypatch.setattr(theorems, "_compose", _counted(calls, kernel))
-    theorems._context.cache_clear()  # else check_all reuses the tables
-    assert {v.theorem for v in check_all(S)
-            if v.outcome == "refuted"} == refuted
-    assert calls  # the screen composed through the faulty kernel
-    assert cross_validate_random(S, samples=2_000, seed=0) == [
-        {"law": law, "count": count} for law, count in random_refuted]
+    for make, records in random_refuted.items():
+        S = make()
+        assert all(v.outcome == "holds" for v in check_all(S))
+        calls = []
+        with monkeypatch.context() as patch:
+            patch.setattr(theorems, "_compose", _counted(calls, kernel))
+            theorems._context.cache_clear()  # else check_all reuses tables
+            assert {v.theorem for v in check_all(S)
+                    if v.outcome == "refuted"} == refuted
+            assert calls  # the screen composed through the faulty kernel
+            assert cross_validate_random(S, samples=2_000, seed=0) == [
+                {"law": law, "count": count} for law, count in records]
 
 
 @pytest.mark.parametrize("kernel", [_halving_kernel, _raising_kernel])
