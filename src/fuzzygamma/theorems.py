@@ -304,86 +304,77 @@ def _first_pair(calc, law: Law, F, G):
     return None
 
 
-def _fails(calc, crisp: dict, law: Law) -> bool:
-    """Whether ``law`` fails on some battery row (or pair), decided in
-    ``calc`` on ``crisp``, the crisp rows of each role, alone.
+def _first_failure(calc, law: Law, crisp: dict, X=None):
+    """Where ``law`` first fails, or None: ``(role, rows, idx, values)``,
+    with ``idx`` the row index in each stack of ``rows`` (f's, then g's for
+    a pair law, whose role is None), then the element (and operation).
 
-    Sup-min composition, meet and the constant one commute with level cuts,
-    {f∘g >= t} = {f >= t}∘{g >= t}, so a statement that fails on rows
-    fails on their cuts at some level t > 0 (README "Concepts" gives t for
-    each kind).  Every cut of a role's row is a crisp row of that role, and
-    every crisp row of a role is one of its battery rows.  Crisp rows
-    compose to crisp rows, so ``calc`` may be a ``_CrispTable``.
+    Without ``X`` the search runs in ``calc`` on ``crisp``, the crisp rows
+    of each role, and so decides the law.  Sup-min composition, meet and
+    the constant one commute with level cuts, {f∘g >= t} = {f >= t}∘{g >= t},
+    so a statement that fails on rows fails on their cuts at some level
+    t > 0 (README "Concepts" gives t for each kind).  Every cut of a role's
+    row is a crisp row of that role, and every crisp row of a role is one
+    of its battery rows.  Crisp rows compose to crisp rows, so ``calc`` may
+    be a ``_CrispTable``.
+
+    With ``X`` it searches each role's rows of X, in order, for the failure
+    a scan of every row (or pair) finds first.  A pair law is searched in
+    two exact stages.  If f and g violate the law at a, so do f and the cut
+    {g >= t}: at t = min(f(a), g(a)) for meet above composition, at
+    t = (f∘g)(a) for composition above meet, and at g's least positive
+    value (its support) for support_iff.  Every such cut is a crisp row of
+    g's role, so the first f row violating against those rows is the first
+    f row with any violating g; only that row is then searched against
+    every g, a stage skipped where g's rows are those crisp rows.
     """
+    rows = crisp.get if X is None else lambda role: _rows(calc, role, X)
     if law.kind in _PAIR_KINDS:
-        return _first_pair(calc, law, *map(crisp.get, law.roles)) is not None
-    return any(_statement(law, calc, crisp[role], role=role)[0].any()
-               for role in law.roles)
-
-
-def _locate_pair(ctx: _Context, law: Law, F, G):
-    """The first (i, j, a, values) where a pair law fails on rows F[i],
-    G[j] of its roles' battery rows, found in two exact stages.
-
-    If f and g violate the law at a, so do f and the cut {g >= t}: at
-    t = min(f(a), g(a)) for meet above composition, at t = (f∘g)(a) for
-    composition above meet, and at g's least positive value (its support)
-    for support_iff.  Every such cut is a crisp row of g's role, so the
-    first f row violating against those rows is the first f row with any
-    violating g; only that row is then scanned against every g.  Call it
-    only where the crisp screen found a violation.
-    """
-    hit = _first_pair(ctx.calc, law, F, ctx.crisp[law.roles[1]])
-    if hit is None:
-        raise _disagreement(ctx, law)
-    _, j, a, values = _first_pair(ctx.calc, law, F[hit[0]:hit[0] + 1], G)
-    return hit[0], j, a, values
-
-
-def _disagreement(ctx: _Context, law: Law) -> RuntimeError:
-    return RuntimeError(f"crisp screen and battery scan disagree on "
-                        f"{law.description!r} for structure {ctx.S.digest()}")
+        F, G = map(rows, law.roles)
+        hit = _first_pair(calc, law, F, crisp[law.roles[1]])
+        if hit is None:
+            return None
+        if G is not crisp[law.roles[1]]:
+            hit = hit[:1] + _first_pair(calc, law, F[hit[0]:hit[0] + 1], G)[1:]
+        return None, (F, G), hit[:3], hit[3]
+    # statements quantified element by element first fail in that order
+    element_major = law.at or law.kind == "square_bound"
+    for role in law.roles:
+        F = rows(role)
+        bad, values = _statement(law, calc, F, role=role)
+        if bad.any():
+            idx = _first_true(np.moveaxis(bad, 0, -1) if element_major
+                              else bad)
+            if element_major:
+                idx = idx[-1:] + idx[:-1]
+            return role, (F,), idx, [(k, v[idx].item()) for k, v in values]
+    return None
 
 
 def _first_violation(ctx: _Context, law: Law):
     """The witness of the first battery row (or pair) where ``law`` fails,
-    or None.  The battery is scanned only after the crisp screen reports a
-    violation, and a scan that then finds none raises."""
-    if not _fails(ctx.screen, ctx.crisp, law):
+    or None.  The battery is searched only after the crisp screen reports a
+    violation, and a search that then finds none raises."""
+    if _first_failure(ctx.screen, law, ctx.crisp) is None:
         return None
-    S = ctx.S
+    hit = _first_failure(ctx.calc, law, ctx.crisp, ctx.W)
+    if hit is None:
+        raise RuntimeError(f"crisp screen and battery scan disagree on "
+                           f"{law.description!r} for structure "
+                           f"{ctx.S.digest()}")
+    role, rows, idx, values = hit
     w = {"law": law.kind}
     if law.label:
         w[_LABEL_KEYS[law.kind]] = law.label
-    if law.kind in _PAIR_KINDS:
-        F, G = (_rows(ctx.calc, role, ctx.W) for role in law.roles)
-        i, j, a, values = _locate_pair(ctx, law, F, G)
-        w.update(f=ctx.row_dict(F[i]), g=ctx.row_dict(G[j]),
-                 element=S.elements[a])
-        w.update(values)
-        return w
-    # statements quantified element by element first scan in that order
-    element_major = law.at or law.kind == "square_bound"
-    for role in law.roles:
-        F = _rows(ctx.calc, role, ctx.W)
-        bad, values = _statement(law, ctx.calc, F, role=role)
-        if not bad.any():
-            continue
-        idx = _first_true(np.moveaxis(bad, 0, -1) if element_major else bad)
-        if element_major:
-            idx = idx[-1:] + idx[:-1]
-        if law.kind.startswith("chain_"):
-            w["chain"] = law.word(role)
-        if role != "any":
-            w["side"] = role
-        w["f"] = ctx.row_dict(F[idx[0]])
-        if len(idx) > 1:
-            w["element"] = S.elements[idx[1]]
-        if len(idx) > 2:
-            w["gamma"] = S.gammas[idx[2]]
-        w.update((k, v[idx].item()) for k, v in values)
-        return w
-    raise _disagreement(ctx, law)
+    if law.kind.startswith("chain_"):
+        w["chain"] = law.word(role)
+    if role not in (None, "any"):
+        w["side"] = role
+    w.update(zip("fg", (ctx.row_dict(F[i]) for F, i in zip(rows, idx))))
+    w.update(zip(("element", "gamma"), (labels[k] for labels, k in zip(
+        (ctx.S.elements, ctx.S.gammas), idx[len(rows):]))))
+    w.update(values)
+    return w
 
 
 def _scan(ctx: _Context, law: Law):
@@ -393,7 +384,7 @@ def _scan(ctx: _Context, law: Law):
     in_class = _members(ctx.S, law.iff)
     if not in_class.all():
         # off its class the statement must fail somewhere; where is not kept
-        if _fails(ctx.screen, ctx.crisp, law):
+        if _first_failure(ctx.screen, law, ctx.crisp) is not None:
             return None
         return {
             "law": "class_mismatch", "class": law.iff,
@@ -590,10 +581,11 @@ def replay_witness(S: GammaStructure, verdict: TheoremVerdict) -> bool:
         return law.run(S) == w
     if w["law"] == "class_mismatch":
         # its class must fail and its statement hold on its roles' crisp
-        # rows (see ``_fails``)
+        # rows (see ``_first_failure``)
         crisp = {role: _rows(calc, role, fuzzy.crisp_array(S.n))
                  for role in law.roles}
-        return not _members(S, law.iff).all() and not _fails(calc, crisp, law)
+        return (not _members(S, law.iff).all()
+                and _first_failure(calc, law, crisp) is None)
     if w.get("theorem_direction") == "equality":
         law = LAWS[law.equality]
     side = w.get("side", law.roles[0])
@@ -637,10 +629,11 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
                           seed: int = 0) -> list[dict]:
     """Seeded real-valued (f, g) search over every registry statement.
 
-    Returns violation records; on a valid structure the list is empty.  The
-    battery checks decide every law on 0/1 rows, so this search, on
-    fractional values, is what sees a kernel fault that keeps every 0/1
-    composition.
+    Returns one violation record per law that fails on some draw, in
+    registry order, with its count summed over every batch; on a valid
+    structure the list is empty.  The battery checks decide every law on
+    0/1 rows, so this search, on fractional values, is what sees a kernel
+    fault that keeps every 0/1 composition.
     """
     require_checkable(S, "law checks require")
     calc = _Kernels(S)
@@ -651,7 +644,7 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
             if tid in THEOREM_IDS and law.run is None
             and all(_members(S, name).all()
                     for name in (law.hypothesis, law.iff) if name)]
-    violations: list[dict] = []
+    counts = dict.fromkeys((tid for tid, _ in laws), 0)
     for start in range(0, samples, _CHUNK):
         k = min(_CHUNK, samples - start)
         F = rng.random((k, S.n))
@@ -661,11 +654,11 @@ def cross_validate_random(S: GammaStructure, samples: int = 100_000,
         Fz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, F)
         Gz = np.where(zero_rng.random((k, S.n)) < 0.5, 0.0, G)
         for tid, law in laws:
-            count = _count_violations(calc, law, F, G)
+            counts[tid] += _count_violations(calc, law, F, G)
             if law.equality:
-                count += _count_violations(calc, LAWS[law.equality], F, G)
+                counts[tid] += _count_violations(calc, LAWS[law.equality],
+                                                 F, G)
             if law.kind == "support_iff":
-                count += _count_violations(calc, law, Fz, Gz)
-            if count:
-                violations.append({"law": tid, "count": count})
-    return violations
+                counts[tid] += _count_violations(calc, law, Fz, Gz)
+    return [{"law": tid, "count": count} for tid, count in counts.items()
+            if count]

@@ -261,7 +261,8 @@ def test_support_quotient_matches_full_scan(monkeypatch, make, kernel):
         F, G = (theorems._rows(ctx.calc, role, ctx.W) for role in law.roles)
         expected = _full_support_scan(ctx.calc, F, G)
         assert expected is not None
-        assert theorems._locate_pair(ctx, law, F, G) == expected + ([],), tid
+        hit = theorems._first_failure(ctx.calc, law, ctx.crisp, ctx.W)
+        assert hit[2:] == (expected, []), tid
 
 
 @pytest.mark.parametrize("kernel", [_zero_kernel, _blind_kernel])
@@ -760,6 +761,12 @@ def _full_scan_witness(ctx, law):
     return w
 
 
+def _located(hit):
+    """A search's result without its row stacks: the role, the indices
+    and the values, or None."""
+    return hit and (hit[0],) + hit[2:]
+
+
 def _screen_agrees(structures, battery):
     # the crisp screen finds a violation exactly when a scan of every
     # battery row (or pair) does, and the witness is that scan's first;
@@ -797,8 +804,9 @@ def test_crisp_screen_agrees_with_full_scan_on_the_corpus(witness_corpus):
         for role in ROLES:
             assert np.array_equal(crisp[role], ctx.crisp[role]), (S, role)
         for law in SCANS:
-            assert (theorems._fails(scalar, crisp, law)
-                    == theorems._fails(ctx.screen, ctx.crisp, law)), (S, law)
+            assert (_located(theorems._first_failure(scalar, law, crisp))
+                    == _located(theorems._first_failure(ctx.screen, law,
+                                                        ctx.crisp))), (S, law)
 
 
 def test_crisp_screen_agrees_with_full_scan_on_a_sampled_battery(
@@ -995,13 +1003,25 @@ def _semilattice2():
     return validate_structure(["a", "b"], ["g"], [[[0, 0]], [[0, 1]]], [])
 
 
+def _constant_and_meet():
+    # x g0 y = a and x g1 y = min(x, y), discrete order: associative and
+    # compatible, with squares that differ by operation at b, so L21 reads
+    # the square of every operation
+    return validate_structure(["a", "b"], ["g0", "g1"],
+                              [[[0, 0], [0, 0]], [[0, 0], [0, 1]]], [])
+
+
 # random_refuted: per input, cross_validate_random's records in registry
 # order; on the regular semilattice the raising fault lifts f∘g above the
 # meet, which T13 counts through its equality clause, L10's entry
 @pytest.mark.parametrize("kernel, refuted, random_refuted", [
     (_halving_kernel, set(), {_null3: [
         ("P4", 653), ("P5", 653), ("P6", 970), ("L21", 3987),
-        ("L22", 1819)]}),
+        ("L22", 1819)], _constant_and_meet: [
+        ("P4", 463), ("P5", 463), ("P6", 710), ("L8", 1802), ("L9", 1808),
+        ("L21", 6450), ("L22", 3858), ("T13", 1006), ("T16", 1006),
+        ("T23", 3724), ("T24", 3858), ("T26", 3724), ("T28", 3724),
+        ("C31", 4056)]}),
     (_raising_kernel, set(), {_null3: [
         ("P4", 682), ("P5", 682), ("P6", 682), ("L10", 252), ("P29", 1364),
         ("C30", 1364), ("QI", 1364)], _semilattice2: [
@@ -1027,6 +1047,17 @@ def test_fractional_kernel_faults_stay_visible(monkeypatch, fresh_context,
             assert calls  # the screen composed through the faulty kernel
             assert cross_validate_random(S, samples=2_000, seed=0) == [
                 {"law": law, "count": count} for law, count in records]
+
+
+def test_random_mode_reports_each_law_once(monkeypatch):
+    # 45 000 draws run in three batches; each law is listed once, in
+    # registry order, with its counts summed over the batches
+    monkeypatch.setattr(theorems, "_compose", _raising_kernel)
+    records = cross_validate_random(_semilattice2(), samples=45_000, seed=0)
+    assert records == [{"law": law, "count": count} for law, count in (
+        ("P4", 22_496), ("P5", 22_496), ("P6", 22_496), ("L10", 22_368),
+        ("T13", 22_368), ("P29", 89_984), ("C30", 89_984), ("C31", 89_984),
+        ("QI", 89_984))]
 
 
 @pytest.mark.parametrize("kernel", [_halving_kernel, _raising_kernel])
