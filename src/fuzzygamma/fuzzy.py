@@ -14,13 +14,15 @@ binary64 floats are exact here.
 
 from __future__ import annotations
 
+import numbers
 import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .structure import GammaStructure, factorizations, principal_ideal
+from .structure import (GammaStructure, StructureError, factorizations,
+                        principal_ideal)
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,17 @@ class FuzzySubset:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
-        if len(vals) != self.structure.n:
-            raise ValueError("membership vector length does not match carrier")
-        for v in vals:
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"membership degree {v!r} outside [0, 1]")
-        object.__setattr__(self, "values", vals)
+        S = self.structure
+        vals = tuple(self.values) if np.iterable(self.values) else ()
+        if len(vals) != S.n:  # a non-iterable reads as empty; n >= 1
+            raise StructureError(f"membership vector must have length {S.n}")
+        for label, v in zip(S.elements, vals):
+            # compared before float(), which overflows on huge integers
+            if (not isinstance(v, numbers.Real) or isinstance(v, bool)
+                    or not 0 <= v <= 1):
+                raise StructureError(f"membership for {label!r} must be a "
+                                     f"number in [0, 1], got {v!r}")
+        object.__setattr__(self, "values", tuple(map(float, vals)))
 
     def __call__(self, i: int) -> float:
         return self.values[i]

@@ -79,10 +79,6 @@ def structure_to_dict(S: GammaStructure) -> dict:
     }
 
 
-def _is_list(value, item=lambda v: True) -> bool:
-    return isinstance(value, (list, tuple)) and all(item(v) for v in value)
-
-
 def structure_from_dict(doc: dict, require_compat: bool = True) -> GammaStructure:
     if not isinstance(doc, dict):
         raise StructureError("structure document must be a JSON object")
@@ -90,21 +86,13 @@ def structure_from_dict(doc: dict, require_compat: bool = True) -> GammaStructur
         if key not in doc:
             raise StructureError(f"structure document missing {key!r}")
     for key in ("elements", "gammas"):
-        if not _is_list(doc[key], lambda v: isinstance(v, str)):
+        if not (isinstance(doc[key], list)
+                and all(isinstance(v, str) for v in doc[key])):
             raise StructureError(f"{key!r} must be a list of strings")
-    if not _is_list(doc["table"], lambda plane: _is_list(plane, _is_list)):
-        raise StructureError("'table' must be a list of lists of lists")
-    if not _is_list(doc["order"]):
+    if not isinstance(doc["order"], list):
         raise StructureError("'order' must be a list of pairs")
-    order = []
-    for pair in doc["order"]:
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool)
-                           for v in pair)):
-            raise StructureError(f"bad order pair {pair!r}")
-        order.append((pair[0], pair[1]))
     return validate_structure(doc["elements"], doc["gammas"], doc["table"],
-                              order, require_compat=require_compat)
+                              doc["order"], require_compat=require_compat)
 
 
 def fuzzy_from_dict(S: GammaStructure, doc: dict) -> FuzzySubset:
@@ -113,17 +101,7 @@ def fuzzy_from_dict(S: GammaStructure, doc: dict) -> FuzzySubset:
     unknown = set(doc) - set(S.elements)
     if unknown:
         raise StructureError(f"unknown element labels {sorted(unknown)}")
-    vals = []
-    for lbl in S.elements:
-        v = doc.get(lbl, 0.0)
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise StructureError(f"membership for {lbl!r} must be a number")
-        # compared before float(), which overflows on huge JSON integers
-        if not 0 <= v <= 1:
-            raise StructureError(
-                f"membership for {lbl!r} outside [0, 1]: {v!r}")
-        vals.append(float(v))
-    return FuzzySubset(S, tuple(vals))
+    return FuzzySubset(S, tuple(doc.get(lbl, 0.0) for lbl in S.elements))
 
 
 def classification_to_dict(report: ClassificationReport) -> dict:

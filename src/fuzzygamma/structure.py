@@ -22,7 +22,7 @@ import numpy as np
 
 
 class StructureError(ValueError):
-    """A structure description violates one of the validation axioms."""
+    """A structure or membership description breaks a validation rule."""
 
 
 @dataclass(frozen=True)
@@ -135,14 +135,19 @@ def _is_index(v, n: int) -> bool:
     return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
 
 
+def _is_list(v, size: int) -> bool:
+    """Whether v is a list or tuple of the given length."""
+    return isinstance(v, (list, tuple)) and len(v) == size
+
+
 def validate_structure(elements, gammas, table, order,
                        require_compat: bool = True) -> GammaStructure:
     """Build a GammaStructure from raw parts.
 
-    ``order`` may be any generating set of pairs; the reflexive-transitive
-    closure is taken before antisymmetry is checked.  With
-    ``require_compat=False`` an order-incompatible structure is accepted and
-    flagged via the ``compatible`` attribute.
+    ``order`` may be any iterable of generating pairs, read once; the
+    reflexive-transitive closure is taken before antisymmetry is checked.
+    With ``require_compat=False`` an order-incompatible structure is
+    accepted and flagged via the ``compatible`` attribute.
     """
     elements = tuple(str(e) for e in elements)
     gammas = tuple(str(g) for g in gammas)
@@ -156,18 +161,17 @@ def validate_structure(elements, gammas, table, order,
         raise StructureError("duplicate operation labels")
     n, m = len(elements), len(gammas)
 
-    if len(table) != n:
-        raise StructureError(f"table must have {n} planes, got {len(table)}")
+    if not _is_list(table, n):
+        raise StructureError(f"'table' must be a list of {n} planes")
     planes = []
     for x, plane in enumerate(table):
-        if len(plane) != m:
-            raise StructureError(
-                f"table plane {x} must have {m} rows, got {len(plane)}")
+        if not _is_list(plane, m):
+            raise StructureError(f"table plane {x} must be a list of {m} rows")
         rows = []
         for row in plane:
-            if len(row) != n:
+            if not _is_list(row, n):
                 raise StructureError(
-                    f"table row in plane {x} must have {n} entries")
+                    f"table row in plane {x} must be a list of {n} entries")
             for v in row:
                 if not _is_index(v, n):
                     raise StructureError(f"table entry {v!r} out of range")
@@ -175,9 +179,15 @@ def validate_structure(elements, gammas, table, order,
         planes.append(tuple(rows))
     table = tuple(planes)
 
-    for i, j in order:
-        if not (_is_index(i, n) and _is_index(j, n)):
-            raise StructureError(f"order pair ({i}, {j}) out of range")
+    try:
+        order = list(order)  # read once: it may be a one-shot iterator
+    except TypeError:
+        raise StructureError("'order' must be an iterable of pairs") from None
+    for pair in order:
+        if not _is_list(pair, 2):
+            raise StructureError(f"bad order pair {pair!r}")
+        if not all(_is_index(v, n) for v in pair):
+            raise StructureError(f"bad order pair {tuple(pair)} out of range")
     R = transitive_closure(n, order)
     leq = frozenset(zip(*(a.tolist() for a in R.nonzero())))  # row-major
     for i, j in leq:

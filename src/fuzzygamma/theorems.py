@@ -552,7 +552,8 @@ def find_counterexample(theorem_id: str, n_max: int, m_max: int,
     """Stream enumerated structures through a check; first refutation or None."""
     if theorem_id not in LAWS:
         raise KeyError(f"unknown theorem id {theorem_id!r}")
-    enumeration.SearchSpec(n=n_max, m=m_max, limit=limit)  # raises up front
+    # raises up front, at the caps of the streams read: up to isomorphism
+    enumeration.SearchSpec(n=n_max, m=m_max, limit=limit, up_to_iso=True)
     streams = (enumeration.enumerate_structures(
                    enumeration.SearchSpec(n=n, m=m, up_to_iso=True))
                for n in range(1, n_max + 1) for m in range(1, m_max + 1))

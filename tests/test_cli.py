@@ -55,6 +55,9 @@ def test_validate_rejects_boolean_order_pair(tmp_path, capsys, order):
     ([T1_DOC], "must be a JSON object"),
     ({k: v for k, v in T1_DOC.items() if k != "order"}, "missing 'order'"),
     (dict(NZ2_DOC, order=[[0, 5]]), "(0, 5) out of range"),
+    # iterables of no pairs, yet no JSON array
+    (dict(T1_DOC, order=""), "'order' must be a list of pairs"),
+    (dict(T1_DOC, order={}), "'order' must be a list of pairs"),
 ])
 def test_validate_rejects_malformed_documents(tmp_path, capsys, doc, message):
     assert main(["validate", write(tmp_path, "bad.json", doc)]) == 2

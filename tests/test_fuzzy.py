@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import naive_oracle
 from fuzzygamma import fuzzy, theorems
@@ -23,8 +23,8 @@ from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               is_fuzzy_right_ideal_via_composition,
                               is_order_reversing, leq, meet,
                               point_characteristic, square)
-from fuzzygamma.structure import (downward_closure, factorizations,
-                                  subset_product)
+from fuzzygamma.structure import (StructureError, downward_closure,
+                                  factorizations, subset_product)
 
 unit = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
@@ -36,6 +36,26 @@ def test_membership_bounds_enforced(LZ2):
         FuzzySubset(LZ2, (-0.1, 0.5))
     with pytest.raises(ValueError):
         FuzzySubset(LZ2, (0.5,))
+
+
+@pytest.mark.parametrize("value", ["0.5", True, 10 ** 400],
+                         ids=["str", "bool", "huge-int"])
+def test_membership_must_be_a_real_number(T1, value):
+    with pytest.raises(StructureError, match="membership for 'e'"):
+        FuzzySubset(T1, (value,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.none() | st.booleans() | st.integers() | st.floats()
+                | st.integers(10 ** 308, 10 ** 310) | st.text(max_size=3)
+                | unit, max_size=3))
+def test_fuzzy_subset_rejects_malformed_vectors(values):
+    from conftest import make_lz2
+    try:
+        f = FuzzySubset(make_lz2(), values)
+    except StructureError:
+        return
+    assert all(type(v) is float and 0.0 <= v <= 1.0 for v in f.values)
 
 
 def _revalidates(f):

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import fuzzygamma
 from fuzzygamma import (StructureError, downward_closure, factorizations,
@@ -148,6 +148,42 @@ def test_order_pair_entries_checked_like_table_entries():
         with pytest.raises(StructureError, match="out of range"):
             validate_structure(["a", "b"], ["g"], [[[0, 0]], [[1, 1]]],
                                [pair])
+
+
+def test_one_shot_order_is_read_whole():
+    # a generator of pairs gives the same structure as the list of them
+    raw = (["z", "a"], ["g"], [[[0, 0]], [[0, 0]]])
+    listed = validate_structure(*raw, [(0, 1)])
+    streamed = validate_structure(*raw, ((i, j) for i, j in [(0, 1)]))
+    assert streamed == listed and streamed.le(0, 1)
+
+
+JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-1, 2)
+    | st.integers(10 ** 308, 10 ** 310) | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=10)
+# shaped like an n = 2, m = 1 table or order, with arbitrary leaves, so
+# the entry checks, the order checks and the valid path are reached too
+NEAR_TABLE = st.lists(st.lists(st.lists(
+    st.integers(0, 1) | JSON_LIKE, min_size=2, max_size=2),
+    min_size=1, max_size=1), min_size=2, max_size=2) | st.sampled_from(
+    [[[[0, 0]], [[1, 1]]], ([[0, 1]], [(1, 1)]), [[[0, 0]], [[0, 0]]]])
+NEAR_ORDER = st.lists(st.lists(st.integers(0, 1) | JSON_LIKE, min_size=2,
+                               max_size=2) | JSON_LIKE, max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=NEAR_TABLE | JSON_LIKE, order=NEAR_ORDER | JSON_LIKE)
+def test_validate_rejects_malformed_input_with_structure_error(table, order):
+    try:
+        S = validate_structure(["a", "b"], ["g"], table, order,
+                               require_compat=False)
+    except StructureError:
+        return
+    assert S == validate_structure(S.elements, S.gammas, S.table,
+                                   sorted(S.leq), require_compat=False)
 
 
 def test_is_associative_fixtures(T1, LZ2):

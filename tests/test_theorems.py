@@ -140,11 +140,13 @@ def test_find_counterexample_limit_caps_the_checks(monkeypatch):
         find_counterexample("L10", n_max=2, m_max=2, limit=-1)
     with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
         find_counterexample("L10", n_max=2, m_max=2, limit=10**20)
-    # the caps are checked before the first structure, not when reached
+    # the caps are checked before the first structure, not when reached;
+    # they are the caps up to isomorphism, which every stream read is in
     calls.clear()
-    for n_max, m_max in ((5, 1), (2, 4), (0, 1)):
+    for n_max, m_max in ((5, 2), (6, 1), (2, 4), (0, 1)):
         with pytest.raises(ValueError):
             find_counterexample("L10", n_max=n_max, m_max=m_max)
+    assert find_counterexample("L10", n_max=5, m_max=1, limit=0) is None
     assert calls == []
 
 
