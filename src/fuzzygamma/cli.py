@@ -12,6 +12,7 @@ import json
 import sys
 import time
 from dataclasses import replace
+from functools import partial
 from itertools import islice
 
 from . import __version__, enumeration, fuzzy, ideals, serialize, theorems
@@ -32,16 +33,17 @@ def _load_json(path):
         raise _InputError(f"{path}: invalid JSON: {exc}") from exc
 
 
-def _load_structure(path, require_compat=True):
+def _load(path, parse=serialize.structure_from_dict):
+    """``parse`` of the JSON document at path; a rejection names the path."""
     try:
-        return serialize.structure_from_dict(_load_json(path),
-                                             require_compat=require_compat)
+        return parse(_load_json(path))
     except StructureError as exc:
         raise _InputError(f"{path}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
-    S = _load_structure(args.path, require_compat=not args.no_compat)
+    S = _load(args.path, partial(serialize.structure_from_dict,
+                                 require_compat=not args.no_compat))
     print(f"valid structure: {S.n} elements, {S.m} operations, "
           f"digest {S.digest()}")
     print(f"  associative: {S.associative}")
@@ -50,7 +52,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    S = _load_structure(args.path)
+    S = _load(args.path)
     report = ideals.classify(S)
     if args.json:
         print(json.dumps(serialize.classification_to_dict(report), indent=2))
@@ -79,7 +81,7 @@ def _build_battery(S, args):
 
 
 def cmd_check(args) -> int:
-    S = _load_structure(args.path)
+    S = _load(args.path)
     battery = _build_battery(S, args)
     started = time.monotonic()
     if args.all:
@@ -110,9 +112,9 @@ def cmd_check(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    S = _load_structure(args.path)
-    f = serialize.fuzzy_from_dict(S, _load_json(args.f))
-    g = serialize.fuzzy_from_dict(S, _load_json(args.g))
+    S = _load(args.path)
+    f, g = (_load(path, partial(serialize.fuzzy_from_dict, S))
+            for path in (args.f, args.g))
     print(json.dumps(fuzzy.compose(f, g).to_dict()))
     return 0
 

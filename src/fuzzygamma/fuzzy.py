@@ -1,9 +1,11 @@
 """Fuzzy subsets over a gamma structure and their sup-min calculus.
 
 A fuzzy subset assigns each carrier element a membership degree in [0, 1].
-Composition is sup-min over the factorization relation; the order, meet and
-the constant-one subset make the fuzzy subsets an ordered algebra.  The four
-fuzzy ideal predicates are provided in definitional form, each stated once
+Composition is sup-min, computed from its definition over the table and
+the order alone: the numpy kernels read the factorization relation
+instead, so the two share no code.  The order, meet and the constant-one
+subset make the fuzzy subsets an ordered algebra.  The four fuzzy ideal
+predicates are provided in definitional form, each stated once
 as its pointwise inequalities (:func:`ideal_inequalities`), and in
 composition-inequality form (both must agree on valid structures; the
 agreement itself is verified in the law registry).
@@ -21,8 +23,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .structure import (GammaStructure, StructureError, factorizations,
-                        principal_ideal)
+from .structure import GammaStructure, StructureError, principal_ideal
 
 
 @dataclass(frozen=True)
@@ -69,29 +70,26 @@ def _require_same(f: FuzzySubset, g: FuzzySubset) -> None:
 
 
 def compose(f: FuzzySubset, g: FuzzySubset) -> FuzzySubset:
-    """Sup-min composition: sup over factorizations of a of min(f(y), g(z)).
-
-    A pair with f(y) <= best cannot raise the sup, and no membership
-    exceeds 1, so a group stops once its sup reaches 1.
-    """
+    """Sup-min composition from its definition over the table and the order:
+    (f∘g)(a) is the sup of min(f(y), g(z)) over a <= y γ z, so the best
+    ``at[p]`` with a <= p, where ``at[p]`` is the best min(f(y), g(z)) with
+    y γ z = p over the y and z of nonzero membership."""
     _require_same(f, g)
     S = f.structure
-    fv, gv = f.values, g.values
-    vals = []
-    for pairs in factorizations(S):
-        best = 0.0
-        for y, z in pairs:
-            w = fv[y]
-            if w <= best:
-                continue
-            u = gv[z]
-            if u < w:
-                w = u
-            if w > best:
-                best = w
-                if best == 1.0:
-                    break
-        vals.append(best)
+    zs = [(z, u) for z, u in enumerate(g.values) if u > 0]
+    at, vals = [0.0] * S.n, [0.0] * S.n
+    for y, w in enumerate(f.values):
+        if w > 0:
+            for row in S.table[y]:
+                for z, u in zs:
+                    p = row[z]
+                    if u > w:
+                        u = w
+                    if u > at[p]:
+                        at[p] = u
+    for a, p in S.leq:
+        if at[p] > vals[a]:
+            vals[a] = at[p]
     return _trusted(S, tuple(vals))
 
 

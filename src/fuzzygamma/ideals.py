@@ -133,14 +133,6 @@ def _least_operations(table, ops, leq, a: int, acc: int, operands):
     return None
 
 
-@lru_cache(maxsize=1024)
-def _operand_sequences(word: str, n: int, a: int):
-    """The operands of ``word`` at a, the free elements ascending, the
-    first of them slowest."""
-    return tuple(itertools.product(
-        *((a,) if c == "f" else range(n) for c in word)))
-
-
 def witness(S: GammaStructure, a: int, name: str):
     """The first factorization of a through its class's word, or None.
 
@@ -148,8 +140,9 @@ def witness(S: GammaStructure, a: int, name: str):
     each ascending; the product is taken left to right.
     """
     word = CLASS_WORDS[name]
-    ops = range(S.m)
-    for operands in _operand_sequences(word, S.n, a):
+    ops, free = range(S.m), range(S.n)
+    for operands in itertools.product(
+            *[(a,) if c == "f" else free for c in word]):
         gammas = _least_operations(S.table, ops, S.leq, a, operands[0],
                                    operands[1:])
         if gammas is not None:

@@ -149,8 +149,10 @@ def validate_structure(elements, gammas, table, order,
     With ``require_compat=False`` an order-incompatible structure is
     accepted and flagged via the ``compatible`` attribute.
     """
-    elements = tuple(str(e) for e in elements)
-    gammas = tuple(str(g) for g in gammas)
+    try:
+        elements, gammas = tuple(map(str, elements)), tuple(map(str, gammas))
+    except TypeError:
+        raise StructureError("labels must be iterables") from None
     if not elements:
         raise StructureError("carrier must be nonempty")
     if not gammas:

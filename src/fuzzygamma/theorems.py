@@ -25,8 +25,8 @@ import numpy as np
 
 from . import enumeration, fuzzy, ideals
 from .fuzzy import FuzzySubset, GridBattery, default_battery
-from .structure import (GammaStructure, StructureError, factorizations,
-                        require_checkable)
+from .structure import (GammaStructure, StructureError, downward_closure,
+                        factorizations, require_checkable, subset_product)
 
 # Hypothesis-dropped variants: negative controls, never part of check_all.
 NEGATIVE_CONTROL_IDS = ("L8-unconditional",)
@@ -154,9 +154,12 @@ class _Scalar:
         return self._each(lambda f, g: fuzzy.compose(f, g).values, F, G)
 
     def joint_support(self, F, G):
-        return self._each(
-            lambda f, g: [any(f(y) > 0 and g(z) > 0 for y, z in pairs)
-                          for pairs in factorizations(self.S)], F, G)
+        def below(f, g):  # the elements below supp f Γ supp g
+            A, B = ([y for y, v in enumerate(h.values) if v > 0]
+                    for h in (f, g))
+            D = downward_closure(self.S, subset_product(self.S, A, B))
+            return [a in D for a in range(self.S.n)]
+        return self._each(below, F, G)
 
     def ideal(self, name, F):
         return self._each(lambda f: fuzzy.satisfies(f, name), F)

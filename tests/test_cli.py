@@ -245,6 +245,16 @@ def test_compose_rejects_out_of_range(tmp_path, capsys):
     assert main(["compose", spath, fpath, fpath]) == 2
 
 
+def test_compose_names_the_rejected_fuzzy_file(tmp_path, capsys):
+    spath = write(tmp_path, "lz2.json", LZ2_DOC)
+    fpath = write(tmp_path, "f.json", {"a": 0.5, "b": 1.0})
+    gpath = write(tmp_path, "g.json", {"a": 0.5, "b": "1"})
+    assert main(["compose", spath, fpath, gpath]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {gpath}: membership for 'b'")
+    assert fpath not in err
+
+
 def test_enumerate_census(tmp_path, capsys):
     out = tmp_path / "census.json"
     assert main(["enumerate", "--n", "1", "--m", "1",

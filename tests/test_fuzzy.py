@@ -102,9 +102,9 @@ def test_compose_accepts_equal_distinct_structures(LZ2):
 
 def test_compose_matches_definition(labeled_pool):
     rng = random.Random(11)
-    # fractional rows with some members at 1.0, drawn from their own
-    # stream, reach both of compose's shortcuts: a pair whose f(y) cannot
-    # raise the sup, and a group whose sup reaches 1 before its last pair
+    # compose computes from the table and the order, the reference below
+    # from the factorization relation, so the two are independent; the
+    # fractional rows, some members at 1.0, come from their own stream
     frac = random.Random(12)
     levels = fuzzy.grid_levels(5)
     for S in labeled_pool:

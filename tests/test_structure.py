@@ -186,6 +186,13 @@ def test_validate_rejects_malformed_input_with_structure_error(table, order):
                                    sorted(S.leq), require_compat=False)
 
 
+@pytest.mark.parametrize("elements, gammas", [
+    (5, ["g"]), (["e"], None), (None, None)])
+def test_validate_rejects_non_iterable_labels(elements, gammas):
+    with pytest.raises(StructureError, match="labels must be iterables"):
+        validate_structure(elements, gammas, [[[0]]], [])
+
+
 def test_is_associative_fixtures(T1, LZ2):
     assert is_associative(T1)
     assert is_associative(LZ2)

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from conftest import make_lz2, make_nz2, make_t1
-from fuzzygamma import fuzzy, ideals, theorems, validate_structure
+from fuzzygamma import (fuzzy, ideals, structure, theorems,
+                        validate_structure)
 from fuzzygamma.enumeration import SearchSpec, enumerate_structures
 from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               characteristic, compose, constant_one,
@@ -610,6 +611,30 @@ def test_kernels_match_scalar_compose(labeled_pool, witness_corpus):
             for name in ("order_reversing", "right", "left", "bi"):
                 assert np.array_equal(scalar.ideal(name, X),
                                       calc.ideal(name, X)), (S, name)
+
+
+def test_relation_faults_reach_the_kernels_not_the_oracle(monkeypatch):
+    # the scalar calculus computes from the table and the order, so a fault
+    # in the factorization relation moves the kernels away from it: here
+    # every element loses its factorization (a, a)
+    calls = []
+    relation = factorizations
+
+    def faulty(S):
+        calls.append(S)
+        return tuple(pairs - {(a, a)} for a, pairs in enumerate(relation(S)))
+
+    for module in (structure, fuzzy, theorems):
+        monkeypatch.setattr(module, "factorizations", faulty, raising=False)
+    S, f = make_t1(), np.array([0.5])
+    calc = theorems._Kernels(S)
+    assert calls == [S]
+    assert calc.compose(f, f).tolist() == [0.0]
+    assert calc.joint_support(f, f).tolist() == [False]
+    scalar = theorems._Scalar(S)
+    assert scalar.compose(f, f).tolist() == [0.5]
+    assert scalar.joint_support(f, f).tolist() == [True]
+    assert calls == [S]
 
 
 def test_crisp_tables_match_the_kernels_and_the_oracle(labeled_pool,
