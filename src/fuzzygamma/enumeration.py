@@ -63,16 +63,17 @@ class SearchSpec:
     up_to_iso: bool = False
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1:
-            raise ValueError("carrier and operation family must be nonempty")
+        if not all(type(v) is int and v >= 1 for v in (self.n, self.m)):
+            raise ValueError(f"n and m must be ints of at least 1, got {self}")
         max_n = MAX_ISO_N if self.up_to_iso and self.m == 1 else MAX_N
         if self.n > max_n or self.m > MAX_M:
             raise ValueError(
                 f"search caps exceeded (n <= {MAX_N}, m <= {MAX_M}; "
                 f"n <= {MAX_ISO_N} up to isomorphism at m = 1)")
-        if self.limit is not None and not 0 <= self.limit <= sys.maxsize:
+        if self.limit is not None and not (type(self.limit) is int
+                                           and 0 <= self.limit <= sys.maxsize):
             raise ValueError(f"limit must be non-negative and at most "
-                             f"{sys.maxsize}, got {self.limit}")
+                             f"{sys.maxsize}, as an int; got {self.limit!r}")
 
 
 @functools.cache

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numbers
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -187,10 +187,6 @@ def satisfies(f: FuzzySubset, name: str) -> bool:
                for t, x, z in ideal_inequalities(f.structure, name))
 
 
-def is_order_reversing(f: FuzzySubset) -> bool:
-    return satisfies(f, "order_reversing")
-
-
 def is_fuzzy_ideal(f: FuzzySubset, side: str) -> bool:
     """Order reversing, with f(x γ y) >= f(x) (right) or >= f(y) (left).
     Any other side raises ``ValueError``, as in ``one_sided_product``."""
@@ -199,29 +195,17 @@ def is_fuzzy_ideal(f: FuzzySubset, side: str) -> bool:
     return satisfies(f, side)
 
 
-is_fuzzy_right_ideal = partial(is_fuzzy_ideal, side="right")
-is_fuzzy_left_ideal = partial(is_fuzzy_ideal, side="left")
-
-
-def is_fuzzy_bi_ideal(f: FuzzySubset) -> bool:
-    return satisfies(f, "bi")
-
-
 def is_fuzzy_quasi_ideal(f: FuzzySubset) -> bool:
     one = constant_one(f.structure)
-    return (is_order_reversing(f)
+    return (satisfies(f, "order_reversing")
             and leq(meet(compose(f, one), compose(one, f)), f))
 
 
 def is_below_chain(f: FuzzySubset, word: str) -> bool:
     """Composition form of an ideal predicate: order reversing and
     ``chain(word, f)`` below f."""
-    return (is_order_reversing(f)
+    return (satisfies(f, "order_reversing")
             and leq(chain(word, f, compose, constant_one(f.structure)), f))
-
-
-is_fuzzy_right_ideal_via_composition = partial(is_below_chain, word="f1")
-is_fuzzy_left_ideal_via_composition = partial(is_below_chain, word="1f")
 
 
 def is_fuzzy_bi_ideal_via_composition(f: FuzzySubset) -> bool:
@@ -237,10 +221,6 @@ def generated_fuzzy_ideal(f: FuzzySubset, side: str) -> FuzzySubset:
     return _trusted(S, tuple(
         max(f.values[t] for t in range(S.n) if x in principal[t])
         for x in range(S.n)))
-
-
-generated_fuzzy_right_ideal = partial(generated_fuzzy_ideal, side="right")
-generated_fuzzy_left_ideal = partial(generated_fuzzy_ideal, side="left")
 
 
 GRID_CAP = 1_000_000
@@ -263,8 +243,9 @@ class GridBattery:
     samples: int = SAMPLED_COUNT
 
     def __post_init__(self):
-        if self.levels < 2:
-            raise ValueError("a grid battery needs at least 2 levels")
+        for name, low in (("levels", 2), ("samples", 0)):
+            if type(v := getattr(self, name)) is not int or v < low:
+                raise ValueError(f"need at least {low} {name}, an int: {v!r}")
 
     def sampled(self, S: GammaStructure) -> bool:
         return self.levels ** S.n > GRID_CAP

@@ -39,12 +39,6 @@ def is_ideal(S: GammaStructure, A, side: str) -> bool:
             and downward_closure(S, A) == A)
 
 
-is_right_ideal = partial(is_ideal, side="right")
-is_left_ideal = partial(is_ideal, side="left")
-principal_right_ideal = partial(principal_ideal, side="right")
-principal_left_ideal = partial(principal_ideal, side="left")
-
-
 def all_subsets(S: GammaStructure):
     for bits in range(2 ** S.n):
         yield frozenset(i for i in range(S.n) if bits >> i & 1)

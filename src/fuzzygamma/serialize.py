@@ -45,11 +45,10 @@ VERDICT_SCHEMA = {
 
 REPORT_SCHEMA = {
     "type": "object",
-    "required": ["tool_version", "structure"],
+    "required": ["tool_version", "structure", "theorems", "timing_seconds"],
     "properties": {
         "tool_version": {"type": "string"},
         "structure": {"type": "string"},
-        "classification": CLASSIFICATION_SCHEMA,
         "theorems": {"type": "array", "items": VERDICT_SCHEMA},
         "timing_seconds": {"type": "number"},
     },

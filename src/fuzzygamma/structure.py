@@ -217,11 +217,6 @@ def require_checkable(S: GammaStructure, task: str) -> None:
             raise StructureError(f"{task} an {kind} structure")
 
 
-def is_associative(S: GammaStructure) -> bool:
-    """Recompute associativity over all triples (the stored flag agrees)."""
-    return table_is_associative(S.table)
-
-
 def downward_closure(S: GammaStructure, subset) -> frozenset[int]:
     """All elements lying below some member of ``subset``."""
     subset = frozenset(subset)
@@ -261,7 +256,9 @@ def principal_ideal(S: GammaStructure, a: int, side: str) -> frozenset[int]:
     return downward_closure(S, {a} | one_sided_product(S, {a}, side))
 
 
-# bounded, so streaming many structures does not keep every relation alive
+# perfbench's laws-n4 cycles 8 structures and rebuilds the law context on
+# each check_all: 72 of 80 calls hit in 40 passes (pool-sweep: 0 of 2 054,
+# census: none). Bounded, so a stream does not keep every relation alive
 @lru_cache(maxsize=64)
 def factorizations(S: GammaStructure) -> tuple[frozenset[tuple[int, int]], ...]:
     """For each a, the deduplicated pairs (y, z) with a <= y*z for some op."""

@@ -14,13 +14,10 @@ from fuzzygamma.enumeration import SearchSpec, enumerate_structures, \
     enumerate_tables
 from fuzzygamma.fuzzy import (GridBattery, characteristic,
                               compose, default_levels, enumerate_grid_battery,
-                              is_fuzzy_bi_ideal,
+                              is_below_chain,
                               is_fuzzy_bi_ideal_via_composition,
-                              is_fuzzy_left_ideal,
-                              is_fuzzy_left_ideal_via_composition,
-                              is_fuzzy_right_ideal,
-                              is_fuzzy_right_ideal_via_composition, leq)
-from fuzzygamma.ideals import classify, is_left_ideal, is_right_ideal
+                              is_fuzzy_ideal, leq, satisfies)
+from fuzzygamma.ideals import classify, is_ideal
 from fuzzygamma.theorems import check, check_all, cross_validate_random, \
     replay_witness
 
@@ -44,18 +41,15 @@ def test_criterion_1_decider_agreement(labeled_pool):
 def test_criterion_2_composition_form_equivalence(labeled_pool,
                                                   fixture_structures):
     structures = fixture_structures + labeled_pool[:200]
-    pairs = [
-        (is_fuzzy_right_ideal, is_fuzzy_right_ideal_via_composition),
-        (is_fuzzy_left_ideal, is_fuzzy_left_ideal_via_composition),
-        (is_fuzzy_bi_ideal, is_fuzzy_bi_ideal_via_composition),
-    ]
     ok = True
     for S in structures:
         battery = GridBattery(levels=default_levels(S))
         for f in enumerate_grid_battery(S, battery):
-            for definitional, via_comp in pairs:
-                if definitional(f) != via_comp(f):
+            for side, word in (("right", "f1"), ("left", "1f")):
+                if is_fuzzy_ideal(f, side) != is_below_chain(f, word):
                     ok = False
+            if satisfies(f, "bi") != is_fuzzy_bi_ideal_via_composition(f):
+                ok = False
     report(2, "composition-form ideal equivalence", ok)
 
 
@@ -87,10 +81,9 @@ def test_criterion_4_characteristic_bridge(labeled_pool):
             continue
         for A in ideals.all_subsets(S):
             fa = characteristic(S, A)
-            if is_right_ideal(S, A) != is_fuzzy_right_ideal(fa):
-                ok = False
-            if is_left_ideal(S, A) != is_fuzzy_left_ideal(fa):
-                ok = False
+            for side in ("right", "left"):
+                if is_ideal(S, A, side) != is_fuzzy_ideal(fa, side):
+                    ok = False
     report(4, "crisp/fuzzy characteristic bridge", ok)
 
 
@@ -113,7 +106,7 @@ def test_criterion_6_idempotence(labeled_pool, fixture_structures):
         regular = ideals._DECIDERS["regular"]["definitional"](S)
         battery = GridBattery(levels=default_levels(S))
         for f in enumerate_grid_battery(S, battery):
-            if not (is_fuzzy_right_ideal(f) or is_fuzzy_left_ideal(f)):
+            if not any(is_fuzzy_ideal(f, side) for side in ("right", "left")):
                 continue
             sq = compose(f, f)
             if not leq(sq, f):

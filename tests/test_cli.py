@@ -221,6 +221,11 @@ def test_check_json_report_schema(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     jsonschema.validate(doc, REPORT_SCHEMA)
     assert len(doc["theorems"]) == 25
+    # check --json always writes both, so a report without either is wrong
+    for key in ("theorems", "timing_seconds"):
+        with pytest.raises(jsonschema.ValidationError, match=key):
+            jsonschema.validate({k: v for k, v in doc.items() if k != key},
+                                REPORT_SCHEMA)
 
 
 def test_compose(tmp_path, capsys):

@@ -490,3 +490,13 @@ def test_caps_enforced():
     assert SearchSpec(n=1, m=1, limit=sys.maxsize).limit == sys.maxsize
     with pytest.raises(ValueError, match=f"at most {sys.maxsize}"):
         SearchSpec(n=1, m=1, limit=sys.maxsize + 1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 2, "m": 1, "limit": 2.5}, {"n": 2.0, "m": 1}, {"n": 2, "m": 1.0},
+    {"n": True, "m": 1, "limit": True}, {"n": 2, "m": 1, "limit": False},
+    {"n": None, "m": 1}])
+def test_search_spec_counts_are_ints(fields):
+    # rejected when the spec is made, not when its stream is first read
+    with pytest.raises(ValueError, match="int"):
+        SearchSpec(**fields)

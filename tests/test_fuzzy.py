@@ -12,17 +12,11 @@ from fuzzygamma.fuzzy import (GRID_CAP, FuzzySubset, GridBattery,
                               characteristic,
                               compose, constant_one, constant_zero,
                               default_battery, default_levels,
-                              enumerate_grid_battery,
-                              generated_fuzzy_left_ideal,
-                              generated_fuzzy_right_ideal,
-                              is_fuzzy_bi_ideal,
+                              enumerate_grid_battery, generated_fuzzy_ideal,
+                              is_below_chain,
                               is_fuzzy_bi_ideal_via_composition,
-                              is_fuzzy_left_ideal,
-                              is_fuzzy_left_ideal_via_composition,
-                              is_fuzzy_quasi_ideal, is_fuzzy_right_ideal,
-                              is_fuzzy_right_ideal_via_composition,
-                              is_order_reversing, leq, meet,
-                              point_characteristic, square)
+                              is_fuzzy_ideal, is_fuzzy_quasi_ideal, leq,
+                              meet, point_characteristic, satisfies, square)
 from fuzzygamma.structure import (StructureError, downward_closure,
                                   factorizations, subset_product)
 
@@ -150,27 +144,27 @@ def test_characteristic(NZ2, LZ2):
 
 
 def test_order_reversing(NZ2, LZ2):
-    assert is_order_reversing(FuzzySubset(NZ2, (0.9, 0.4)))
-    assert not is_order_reversing(FuzzySubset(NZ2, (0.1, 0.4)))
-    assert is_order_reversing(FuzzySubset(LZ2, (0.1, 0.9)))
+    assert satisfies(FuzzySubset(NZ2, (0.9, 0.4)), "order_reversing")
+    assert not satisfies(FuzzySubset(NZ2, (0.1, 0.4)), "order_reversing")
+    assert satisfies(FuzzySubset(LZ2, (0.1, 0.9)), "order_reversing")
 
 
 def test_right_left_ideal_examples(LZ2, NZ2):
     f = FuzzySubset(LZ2, (0.3, 0.9))
-    assert is_fuzzy_right_ideal(f)
-    assert not is_fuzzy_left_ideal(f)
-    assert is_fuzzy_right_ideal(FuzzySubset(NZ2, (1.0, 0.2)))
+    assert is_fuzzy_ideal(f, "right")
+    assert not is_fuzzy_ideal(f, "left")
+    assert is_fuzzy_ideal(FuzzySubset(NZ2, (1.0, 0.2)), "right")
     for S in (LZ2, NZ2):
-        assert is_fuzzy_right_ideal(constant_one(S))
-        assert is_fuzzy_left_ideal(constant_one(S))
+        for side in ("right", "left"):
+            assert is_fuzzy_ideal(constant_one(S), side)
     with pytest.raises(ValueError, match="unknown fuzzy ideal notion"):
         fuzzy.ideal_inequalities(LZ2, "nope")
 
 
 def test_bi_ideal_examples(T1, LZ2, NZ2):
-    assert is_fuzzy_bi_ideal(FuzzySubset(T1, (0.4,)))
-    assert is_fuzzy_bi_ideal(FuzzySubset(LZ2, (0.2, 0.7)))
-    assert not is_fuzzy_bi_ideal(FuzzySubset(NZ2, (0.4, 0.8)))
+    assert satisfies(FuzzySubset(T1, (0.4,)), "bi")
+    assert satisfies(FuzzySubset(LZ2, (0.2, 0.7)), "bi")
+    assert not satisfies(FuzzySubset(NZ2, (0.4, 0.8)), "bi")
 
 
 def test_bi_ideal_requires_associativity():
@@ -180,7 +174,7 @@ def test_bi_ideal_requires_associativity():
                            require_compat=True)
     assert not S.associative
     with pytest.raises(ValueError, match="associative"):
-        is_fuzzy_bi_ideal(FuzzySubset(S, (0.5, 0.5)))
+        satisfies(FuzzySubset(S, (0.5, 0.5)), "bi")
     with pytest.raises(ValueError, match="associative"):
         is_fuzzy_bi_ideal_via_composition(FuzzySubset(S, (0.5, 0.5)))
 
@@ -192,9 +186,6 @@ def test_ideal_predicates_match_naive_oracle(labeled_pool, witness_corpus):
     small = [S for S in labeled_pool if S.n <= 2]
     sample = random.Random(11).sample([S for S in labeled_pool if S.n == 3],
                                       24)
-    scalar = {"order_reversing": is_order_reversing,
-              "right": is_fuzzy_right_ideal, "left": is_fuzzy_left_ideal,
-              "bi": is_fuzzy_bi_ideal}
     for S in small + sample + witness_corpus:
         battery = list(enumerate_grid_battery(S, default_battery(S)))
         W = np.array([f.values for f in battery])
@@ -202,7 +193,8 @@ def test_ideal_predicates_match_naive_oracle(labeled_pool, witness_corpus):
         for name, naive in naive_oracle.NAIVE_FUZZY_IDEALS.items():
             expected = [naive(S.n, S.m, S.table, S.leq, f.values)
                         for f in battery]
-            assert [scalar[name](f) for f in battery] == expected, (S, name)
+            scalar = [satisfies(f, name) for f in battery]
+            assert scalar == expected, (S, name)
             assert kernels.ideal(name, W).tolist() == expected, (S, name)
 
 
@@ -220,31 +212,30 @@ def test_quasi_ideal_examples(LZ2, NZ2):
 
 def test_composition_form_agrees_on_examples(T1, LZ2, NZ2):
     f = FuzzySubset(LZ2, (0.3, 0.9))
-    assert is_fuzzy_right_ideal_via_composition(f)
-    assert not is_fuzzy_right_ideal_via_composition(
-        FuzzySubset(NZ2, (0.1, 0.4)))
+    assert is_below_chain(f, "f1")
+    assert not is_below_chain(FuzzySubset(NZ2, (0.1, 0.4)), "f1")
     for v in ((0.0,), (0.5,), (1.0,)):
         h = FuzzySubset(T1, v)
-        assert is_fuzzy_right_ideal_via_composition(h)
-        assert is_fuzzy_left_ideal_via_composition(h)
+        for word in ("f1", "1f"):
+            assert is_below_chain(h, word)
 
 
 def test_generated_right_ideal(NZ2, LZ2):
-    assert generated_fuzzy_right_ideal(
-        constant_zero(NZ2)) == constant_zero(NZ2)
-    r = generated_fuzzy_right_ideal(FuzzySubset(NZ2, (0.0, 0.7)))
+    assert generated_fuzzy_ideal(
+        constant_zero(NZ2), "right") == constant_zero(NZ2)
+    r = generated_fuzzy_ideal(FuzzySubset(NZ2, (0.0, 0.7)), "right")
     assert r.values == (0.7, 0.7)
-    assert is_fuzzy_right_ideal(r)
+    assert is_fuzzy_ideal(r, "right")
     f = FuzzySubset(LZ2, (0.2, 0.6))
-    assert generated_fuzzy_right_ideal(f) == f
+    assert generated_fuzzy_ideal(f, "right") == f
 
 
 def test_generated_left_ideal(LZ2):
     # left principal sets of the left-zero law are the whole carrier
     f = FuzzySubset(LZ2, (0.2, 0.6))
-    r = generated_fuzzy_left_ideal(f)
+    r = generated_fuzzy_ideal(f, "left")
     assert r.values == (0.6, 0.6)
-    assert is_fuzzy_left_ideal(r)
+    assert is_fuzzy_ideal(r, "left")
 
 
 def test_generated_ideal_minimality(NZ2):
@@ -252,11 +243,11 @@ def test_generated_ideal_minimality(NZ2):
     levels = [i / 4 for i in range(5)]
     for fv in itertools.product(levels, repeat=S.n):
         f = FuzzySubset(S, fv)
-        r = generated_fuzzy_right_ideal(f)
-        assert leq(f, r) and is_fuzzy_right_ideal(r)
+        r = generated_fuzzy_ideal(f, "right")
+        assert leq(f, r) and is_fuzzy_ideal(r, "right")
         for hv in itertools.product(levels, repeat=S.n):
             h = FuzzySubset(S, hv)
-            if is_fuzzy_right_ideal(h) and leq(f, h):
+            if is_fuzzy_ideal(h, "right") and leq(f, h):
                 assert leq(r, h)
 
 
@@ -284,6 +275,17 @@ def test_grid_battery_cap(T1, NZ2):
     assert not past_cap.sampled(T1)
     with pytest.raises(ValueError, match="at least 2 levels"):
         GridBattery(levels=1)
+
+
+@pytest.mark.parametrize("fields", [
+    {"levels": 2.0}, {"levels": True}, {"levels": "3"},
+    {"levels": 1001, "samples": -5}, {"levels": 3, "samples": 2.5},
+    {"levels": 3, "samples": False}])
+def test_grid_battery_counts_are_ints(fields):
+    # rejected when the battery is made: a negative count would be described
+    # as "-5 draws", and a float would fail only when the rows are drawn
+    with pytest.raises(ValueError, match="an int"):
+        GridBattery(**fields)
 
 
 def test_sampled_battery_seed_defaults_to_zero(NZ2):
@@ -423,11 +425,12 @@ def test_default_levels_reproduce_real_valued_violations(NZ2, labeled_pool):
         for _ in range(3000):
             f = FuzzySubset(S, tuple(draw() for _ in range(S.n)))
             g = FuzzySubset(S, tuple(draw() for _ in range(S.n)))
-            if not (is_fuzzy_right_ideal(f) and _meet_above_composition(f, g)):
+            if not (is_fuzzy_ideal(f, "right")
+                    and _meet_above_composition(f, g)):
                 continue
             found += 1
             pf, pg = _project_onto_grid(f, g, default_levels(S))
             assert pf in battery and pg in battery
-            assert is_fuzzy_right_ideal(pf)
+            assert is_fuzzy_ideal(pf, "right")
             assert _meet_above_composition(pf, pg)
         assert found, S

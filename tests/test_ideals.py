@@ -8,28 +8,26 @@ from fuzzygamma import (cli, enumeration, fuzzy, ideals, serialize,
                         structure, theorems)
 from fuzzygamma.enumeration import SearchSpec, enumerate_structures
 from fuzzygamma.fuzzy import FuzzySubset, GridBattery, characteristic, \
-    is_fuzzy_left_ideal, is_fuzzy_right_ideal
-from fuzzygamma.ideals import (CLASS_NAMES, classify, is_left_ideal,
-                               is_right_ideal, principal_left_ideal,
-                               principal_right_ideal)
-from fuzzygamma.structure import factorizations
+    is_fuzzy_ideal
+from fuzzygamma.ideals import CLASS_NAMES, classify, is_ideal
+from fuzzygamma.structure import factorizations, principal_ideal
 
 DECIDERS = ideals._DECIDERS
 
 
 def test_crisp_ideal_examples(NZ2):
-    assert is_right_ideal(NZ2, {0})
-    assert not is_right_ideal(NZ2, {1})
-    assert is_right_ideal(NZ2, NZ2.carrier())
-    assert is_left_ideal(NZ2, NZ2.carrier())
+    assert is_ideal(NZ2, {0}, "right")
+    assert not is_ideal(NZ2, {1}, "right")
+    for side in ("right", "left"):
+        assert is_ideal(NZ2, NZ2.carrier(), side)
 
 
 def test_principal_ideal_examples(T1, LZ2, NZ2):
-    assert principal_right_ideal(NZ2, 1) == {0, 1}
-    assert principal_right_ideal(LZ2, 0) == {0}
-    assert principal_left_ideal(LZ2, 0) == {0, 1}
-    assert principal_right_ideal(T1, 0) == {0}
-    assert principal_left_ideal(T1, 0) == {0}
+    assert principal_ideal(NZ2, 1, "right") == {0, 1}
+    assert principal_ideal(LZ2, 0, "right") == {0}
+    assert principal_ideal(LZ2, 0, "left") == {0, 1}
+    for side in ("right", "left"):
+        assert principal_ideal(T1, 0, side) == {0}
 
 
 @pytest.mark.parametrize("call, side", [
@@ -52,20 +50,19 @@ def test_unknown_side_raises(LZ2, call, side):
 def test_principal_ideals_are_ideals(labeled_pool):
     for S in labeled_pool[:100]:
         for a in range(S.n):
-            R = principal_right_ideal(S, a)
-            L = principal_left_ideal(S, a)
-            assert a in R and a in L
-            assert is_right_ideal(S, R)
-            assert is_left_ideal(S, L)
+            for side in ("right", "left"):
+                P = principal_ideal(S, a, side)
+                assert a in P
+                assert is_ideal(S, P, side)
 
 
 def test_principal_right_ideal_minimal(labeled_pool):
     # smallest right ideal containing a, over all 2^n subsets
     for S in labeled_pool[:100]:
         for a in range(S.n):
-            R = principal_right_ideal(S, a)
+            R = principal_ideal(S, a, "right")
             for B in ideals.all_subsets(S):
-                if a in B and is_right_ideal(S, B):
+                if a in B and is_ideal(S, B, "right"):
                     assert R <= B
 
 
@@ -133,8 +130,8 @@ def test_characteristic_bridge(labeled_pool):
     for S in labeled_pool[:100]:
         for A in ideals.all_subsets(S):
             fa = characteristic(S, A)
-            assert is_right_ideal(S, A) == is_fuzzy_right_ideal(fa)
-            assert is_left_ideal(S, A) == is_fuzzy_left_ideal(fa)
+            for side in ("right", "left"):
+                assert is_ideal(S, A, side) == is_fuzzy_ideal(fa, side)
 
 
 def test_left_right_duality(labeled_pool):

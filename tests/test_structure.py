@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 import fuzzygamma
 from fuzzygamma import (StructureError, downward_closure, factorizations,
-                        is_associative, subset_product, validate_structure)
+                        subset_product, validate_structure)
 from fuzzygamma.enumeration import enumerate_tables
+from fuzzygamma.structure import table_is_associative
 
 
 def test_t1_valid(T1):
@@ -135,7 +136,7 @@ def test_is_associative_matches_bruteforce():
             for x, g, y, mu, z in itertools.product(
                 range(n), range(m), range(n), range(m), range(n)))
         S = validate_structure(range(n), range(m), table, [])
-        assert is_associative(S) == expected, table
+        assert table_is_associative(table) == expected, table
         assert S.associative == expected, table
         seen.setdefault((n, m), set()).add(expected)
     assert all(answers == {True, False} for answers in seen.values())
@@ -193,9 +194,18 @@ def test_validate_rejects_non_iterable_labels(elements, gammas):
         validate_structure(elements, gammas, [[[0]]], [])
 
 
+def test_public_names_resolve_to_package_definitions():
+    # every exported callable is defined in a fuzzygamma module, so no
+    # second name (a functools.partial, say) stands in for a function
+    for name in fuzzygamma.__all__:
+        obj = getattr(fuzzygamma, name)
+        if callable(obj):
+            assert obj.__module__.startswith("fuzzygamma."), name
+
+
 def test_is_associative_fixtures(T1, LZ2):
-    assert is_associative(T1)
-    assert is_associative(LZ2)
+    assert table_is_associative(T1.table)
+    assert table_is_associative(LZ2.table)
 
 
 def test_downward_closure_examples(NZ2, LZ2):
